@@ -16,7 +16,6 @@ error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 from dataclasses import replace
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CcsimError,
+    InputFileError,
     SolverError,
     UnknownExperimentError,
     UnknownParameterError,
@@ -63,11 +63,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_line(cells) -> str:
+    """One CSV record as ``csv.writer`` writes it with QUOTE_MINIMAL and a
+    newline terminator: a cell holding a comma, quote or line break is quoted,
+    with inner quotes doubled. Unlike that writer, a lone carriage return is
+    quoted too, so readers do not take it for a line end. Written by hand
+    because each ``csv.writer`` allocates a record buffer of at least 128 KB."""
+    quoted = (
+        '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
+        for c in cells
+    )
+    return ",".join(quoted) + "\n"
+
+
 def _write_rows(rows: list[Row], fmt: str, stream) -> None:
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_HEADER)
-        writer.writerows(rows)
+        stream.write("".join(map(_csv_line, [_HEADER, *rows])))
         return
     cells = [_HEADER, *rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(_HEADER))]
@@ -77,10 +88,9 @@ def _write_rows(rows: list[Row], fmt: str, stream) -> None:
 
 def _dump_waveform(waveform, node: str, stream) -> None:
     trace = waveform.voltage(node)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("time", "value"))
+    stream.write(_csv_line(("time", "value")))
     for t, v in zip(waveform.times, trace):
-        writer.writerow((_fmt(t), _fmt(v)))
+        stream.write(_csv_line((_fmt(t), _fmt(v))))
 
 
 def _measure_rows(name: str, doc: NetlistDocument, waveform) -> list[Row]:
@@ -100,14 +110,17 @@ def _measure_rows(name: str, doc: NetlistDocument, waveform) -> list[Row]:
     return rows
 
 
-def _run_file(args, stream) -> int:
-    path = Path(args.file)
+def _read_netlist(path: Path) -> NetlistDocument:
     try:
         text = path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    doc = parse_netlist(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from None
+    return parse_netlist(text)
+
+
+def _run_file(args, stream) -> int:
+    path = Path(args.file)
+    doc = _read_netlist(path)
     circuit = validate(doc)
     name = doc.title or path.stem
     tran = doc.tran()
@@ -214,7 +227,7 @@ def _with_param(doc: NetlistDocument, key: str, value: float) -> NetlistDocument
 def _sweep_base_document(base: str) -> tuple[str, NetlistDocument]:
     path = Path(base)
     if path.exists():
-        doc = parse_netlist(path.read_text())
+        doc = _read_netlist(path)
         return doc.title or path.stem, doc
     if base in FIGURE_CONFIGS or base == "ferri":
         return base, _experiment_circuit(base)[0]
@@ -302,7 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if status == 0:
         if args.out:
-            Path(args.out).write_text(buffer.getvalue())
+            try:
+                Path(args.out).write_text(buffer.getvalue())
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+                return 1
         else:
             sys.stdout.write(buffer.getvalue())
     return status

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import NonPositiveBiasError, NonPositiveResistanceError
 
 # Rail clamp geometry: quadratic smoothing band width and saturated slope.
@@ -242,27 +244,22 @@ def stamp_cccii_linear(
     )
 
 
-def eval_clamp(v_z: float, params: CcciiParams) -> tuple[float, float]:
+def eval_clamp(v_z: float | np.ndarray, params: CcciiParams) -> tuple:
     """Rail-clamp shunt current at the Z node and its derivative.
 
     Zero inside [vss + delta, vdd - delta]; a quadratic band of width delta on
     each side blends into straight ramps of slope 1/R_sat beyond the rails, so
-    the current and its derivative are both continuous. Returns
-    (current leaving the node, conductance) for Newton linearization.
+    the current and its derivative are both continuous. ``v_z`` may be a
+    scalar or an array; returns (current leaving the node, conductance) of
+    the same shape, for Newton linearization.
     """
     if params.level != 2:
         raise ValueError("rail clamp applies to level-2 conveyors only")
     delta = CLAMP_BAND
     g_sat = 1.0 / CLAMP_RSAT
-    hi, lo = params.vdd, params.vss
-    if v_z > hi:
-        return delta * g_sat / 2.0 + (v_z - hi) * g_sat, g_sat
-    if v_z > hi - delta:
-        u = v_z - (hi - delta)
-        return u * u * g_sat / (2.0 * delta), u * g_sat / delta
-    if v_z < lo:
-        return -delta * g_sat / 2.0 - (lo - v_z) * g_sat, g_sat
-    if v_z < lo + delta:
-        u = (lo + delta) - v_z
-        return -u * u * g_sat / (2.0 * delta), u * g_sat / delta
-    return 0.0, 0.0
+    # depth into each band, capped at its width, and distance beyond each rail
+    above = np.clip(v_z - (params.vdd - delta), 0.0, delta)
+    below = np.clip((params.vss + delta) - v_z, 0.0, delta)
+    beyond = np.maximum(v_z - params.vdd, 0.0) - np.maximum(params.vss - v_z, 0.0)
+    current = g_sat * ((above * above - below * below) / (2.0 * delta) + beyond)
+    return current, g_sat * (above + below) / delta

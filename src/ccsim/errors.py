@@ -80,15 +80,16 @@ class SolverError(CcsimError):
 
 
 class SingularMatrixError(SolverError):
-    """LU elimination hit a pivot below threshold: floating node or an
-    otherwise unsolvable topology."""
+    """The MNA matrix is singular or too ill-conditioned to solve (floating
+    node or an otherwise unsolvable topology), or a clamp Jacobian is
+    singular."""
 
 
 class NoConvergenceError(SolverError):
     """Newton iteration exhausted ``max_iter``.
 
-    ``residual`` holds the last infinity-norm residual; ``time`` is set when
-    the failure happened inside a transient sweep.
+    ``time`` is the first timepoint that did not converge and ``residual``
+    its last infinity-norm residual.
     """
 
     def __init__(self, message: str, residual: float, time: float | None = None):
@@ -134,3 +135,7 @@ class UnknownExperimentError(CcsimError):
 
 class UnknownParameterError(CcsimError):
     """Sweep parameter does not resolve to any element value."""
+
+
+class InputFileError(CcsimError):
+    """A netlist file that cannot be read or is not UTF-8 text."""

@@ -1,9 +1,15 @@
-"""MNA assembly, dense LU solve, Newton iteration, quasi-static transient.
+"""MNA assembly, LAPACK solve, port-reduced Newton, quasi-static transient.
 
 Unknown ordering: node voltages in ``Circuit.node_index`` order, then one
 branch current per voltage source and per conveyor X port, in declaration
 order. The dialect has no energy-storage elements, so a transient run is a
-sequence of independent operating-point solves, one per timepoint.
+set of independent operating points, one per timepoint. Every point shares
+the static MNA matrix, which is factored once per circuit; the only
+nonlinearity, the level-2 rail clamp, sits on the diagonal of the k
+clamped Z rows, so Newton runs on those k port voltages alone, for all
+timepoints at once (the port reduction of the nodal DK method: Yeh, Abel &
+Smith, IEEE TASLP 2010; Holters & Zoelzer, EUSIPCO 2015). ``.op`` is the
+case of one timepoint.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .netlist import (
     ElementDecl,
 )
 
-PIVOT_RTOL = 1e-13  # pivot threshold relative to the matrix infinity norm
+PIVOT_RTOL = 1e-13  # reciprocal of the largest accepted 1-norm condition number
 
 
 @dataclass
@@ -57,8 +63,7 @@ class Solution:
     """Solved unknowns at one timepoint, keyed by label.
 
     Ground is implicitly 0 V and absent from ``voltages``. ``vector`` is the
-    raw unknown vector in dense order, kept for residual checks and
-    warm starts.
+    raw unknown vector in dense order, kept for residual checks.
     """
 
     time: float
@@ -106,12 +111,12 @@ class Waveform:
         )
 
 
-def source_value(elem: ElementDecl, t: float) -> float:
-    """Instantaneous value of an independent source."""
+def source_value(elem: ElementDecl, t: float | np.ndarray) -> float | np.ndarray:
+    """Value of an independent source at time ``t`` (a scalar or an array)."""
     p = elem.params
     if "dc" in p:
         return p["dc"]
-    return p["offset"] + p["amplitude"] * math.sin(2.0 * math.pi * p["freq"] * t)
+    return p["offset"] + p["amplitude"] * np.sin(2.0 * np.pi * p["freq"] * t)
 
 
 @dataclass
@@ -154,10 +159,6 @@ class _Assembly:
             for r, v in stamp.rhs_entries:
                 self.rhs_static[r] += v
 
-    @property
-    def nonlinear(self) -> bool:
-        return bool(self.clamps)
-
     def rhs_at(self, t: float) -> np.ndarray:
         b = self.rhs_static.copy()
         for elem, row in self.vsource_rows:
@@ -198,61 +199,36 @@ def residual(circuit: Circuit, t: float, x: np.ndarray) -> np.ndarray:
     return _Assembly(circuit).residual_vector(t, x)
 
 
-# ── dense LU with partial pivoting ──────────────────────────────────
-
-
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-place Doolittle factorization with row pivoting.
-
-    Returns the packed LU matrix and the row permutation. Raises
-    SingularMatrixError when a pivot falls below PIVOT_RTOL * ||A||_inf.
-    """
-    lu = np.array(a, dtype=float)
-    if lu.ndim != 2 or lu.shape[0] != lu.shape[1] or lu.shape[0] < 1:
-        raise ValueError("matrix must be square and non-empty")
-    n = lu.shape[0]
-    if not np.all(np.isfinite(lu)):
-        raise ValueError("matrix entries must be finite")
-    anorm = np.abs(lu).sum(axis=1).max()
-    threshold = PIVOT_RTOL * anorm
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= threshold:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} below threshold at column {k} "
-                "(floating node or unsolvable topology)"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def lu_apply(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with an existing factorization; ``b`` may hold many columns."""
-    n = lu.shape[0]
-    x = np.array(b, dtype=float)[perm]
-    one_dim = x.ndim == 1
-    if one_dim:
-        x = x[:, None]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x[:, 0] if one_dim else x
+# ── dense solve ─────────────────────────────────────────────────────
 
 
 def lu_solve(system: SystemMatrix) -> np.ndarray:
-    """Solve one assembled system, returning the unknown vector."""
-    lu, perm = lu_factor(system.matrix)
-    return lu_apply(lu, perm, system.rhs)
+    """Solve A x = b by LAPACK; ``rhs`` may hold many columns.
+
+    Raises SingularMatrixError when A is singular or its 1-norm condition
+    number reaches 1/PIVOT_RTOL (LAPACK itself stops only on an exact zero
+    pivot), and ValueError on non-finite or non-square input.
+    """
+    a = np.asarray(system.matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "singular matrix (floating node or unsolvable topology)"
+        ) from None
+    cond = np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max()
+    if not cond * PIVOT_RTOL < 1.0:
+        raise SingularMatrixError(
+            f"condition number {cond:.3e} too large (floating node or unsolvable topology)"
+        )
+    return a_inv @ system.rhs
 
 
-# ── Newton-Raphson ─────────────────────────────────────────────────
+# ── port-reduced Newton over all timepoints ─────────────────────────
 
 _MAX_HALVINGS = 8
 
@@ -268,61 +244,106 @@ def _labelled(circuit: Circuit, t: float, x: np.ndarray) -> Solution:
     )
 
 
-def _polish(asm: _Assembly, t: float, x: np.ndarray, fnorm: float) -> np.ndarray:
-    """One extra Newton step after convergence, keeping whichever point has
-    the smaller residual. Quadratic convergence makes the accepted state
-    essentially independent of where the tolerance was crossed, so warm and
-    cold starts land on the same solution."""
-    x_new = lu_solve(asm.system(t, x))
-    fnew = float(np.abs(asm.residual_vector(t, x_new)).max(initial=0.0))
-    return x_new if fnew <= fnorm else x
+def _clamp_currents(clamps: list, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp currents and conductances at port voltages ``v`` (lanes, k)."""
+    i, g = np.empty_like(v), np.empty_like(v)
+    for j, (_, params) in enumerate(clamps):
+        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], params)
+    return i, g
 
 
-def _newton_vector(
-    asm: _Assembly, t: float, x0: np.ndarray, opts: NewtonOptions
-) -> np.ndarray:
-    x = np.array(x0, dtype=float)
-    fnorm = float(np.abs(asm.residual_vector(t, x)).max(initial=0.0))
-    if fnorm <= opts.abs_tol:
-        return _polish(asm, t, x, fnorm) if asm.nonlinear else x
+def _port_step(s: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton step -J^-1 f on every lane, J = I + S diag(g)."""
+    if len(s) == 1:
+        return -f / (1.0 + s[0, 0] * g)
+    try:
+        return -np.linalg.solve(np.eye(len(s)) + s * g[:, None, :], f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular clamp Jacobian") from None
+
+
+def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.ndarray:
+    """Unknown vectors (T, size) at every time in ``times``.
+
+    A x + E c(E^T x) = b(t), where E holds the unit columns of the k clamped
+    Z rows and c the clamp currents. With one factorization of A,
+    x_lin = A^-1 b(t), M = A^-1 E and S = E^T M, this reduces to k equations
+    per timepoint in the port voltages v,
+
+        v - v_lin + S c(v) = 0,     x = x_lin - M c(v),
+
+    solved by damped Newton on all timepoints at once. The full residual of
+    x is then c(E^T x) - c(v) on the clamp rows (zero elsewhere); a point has
+    converged when it is at most ``abs_tol`` on every row.
+    """
+    size = asm.circuit.size
+    if size == 0:
+        return np.zeros((len(times), 0))
+    # one solve against [b_static | unit columns of the source rows | E]
+    drives = [row for _, row in asm.vsource_rows]
+    z = [row for row, _ in asm.clamps]
+    columns = np.zeros((size, 1 + len(drives) + len(z)))
+    columns[:, 0] = asm.rhs_static
+    columns[drives + z, np.arange(1, columns.shape[1])] = 1.0
+    solved = lu_solve(SystemMatrix(asm.a_static, columns))
+    x = np.tile(solved[:, 0], (len(times), 1))  # x_lin by superposition
+    for j, (elem, _) in enumerate(asm.vsource_rows, start=1):
+        x += np.multiply.outer(source_value(elem, times), solved[:, j])
+    if not z:
+        return x
+
+    m = solved[:, 1 + len(drives):]  # (size, k)
+    s = m[z]  # (k, k)
+    v_lin = x[:, z]
+
+    def evaluate(lanes, v):
+        """Clamp currents and conductances at v, and the full residual."""
+        i, g = _clamp_currents(asm.clamps, v)
+        x_z = v_lin[lanes] - i @ s.T
+        return i, g, np.abs(_clamp_currents(asm.clamps, x_z)[0] - i).max(axis=1)
+
+    v = v_lin.copy()
+    i, g, r = evaluate(slice(None), v)
+    # written ~(a <= b) so that a NaN residual counts as unconverged and worse
+    active = np.flatnonzero(~(r <= opts.abs_tol))
     for _ in range(opts.max_iter):
-        system = asm.system(t, x)
-        delta = lu_solve(system) - x
-        x_new = x + delta
-        fnew = float(np.abs(asm.residual_vector(t, x_new)).max(initial=0.0))
-        halvings = 0
-        while opts.damping and fnew > fnorm and halvings < _MAX_HALVINGS:
-            delta *= 0.5
-            x_new = x + delta
-            fnew = float(np.abs(asm.residual_vector(t, x_new)).max(initial=0.0))
-            halvings += 1
-        x, fnorm = x_new, fnew
-        if fnorm <= opts.abs_tol:
-            return _polish(asm, t, x, fnorm) if asm.nonlinear else x
-    raise NoConvergenceError(
-        f"no convergence after {opts.max_iter} iterations, residual {fnorm:.3e}",
-        residual=fnorm,
-        time=t,
-    )
+        if not active.size:
+            break
+        va = v[active]
+        step = _port_step(s, g[active], va - v_lin[active] + i[active] @ s.T)
+        v_new = va + step
+        i_new, g_new, r_new = evaluate(active, v_new)
+        worse = np.flatnonzero(~(r_new <= r[active]) if opts.damping else [])
+        for _ in range(_MAX_HALVINGS):
+            if not worse.size:
+                break
+            step[worse] *= 0.5
+            v_new[worse] = va[worse] + step[worse]
+            i_new[worse], g_new[worse], r_new[worse] = evaluate(active[worse], v_new[worse])
+            worse = worse[~(r_new[worse] <= r[active[worse]])]
+        v[active], i[active], g[active], r[active] = v_new, i_new, g_new, r_new
+        active = active[~(r_new <= opts.abs_tol)]
+    if active.size:
+        first = active[0]
+        raise NoConvergenceError(
+            f"no convergence after {opts.max_iter} iterations, residual {r[first]:.3e}",
+            residual=float(r[first]),
+            time=float(times[first]),
+        )
+    return x - i @ m.T
 
 
 def newton_solve(
-    circuit: Circuit,
-    t: float = 0.0,
-    init: Solution | np.ndarray | None = None,
-    opts: NewtonOptions | None = None,
+    circuit: Circuit, t: float = 0.0, opts: NewtonOptions | None = None
 ) -> Solution:
     """Solve the operating point at time ``t``.
 
-    Purely linear circuits converge in a single iteration; level-2 conveyor
-    clamps are iterated with step-halving damping.
+    Purely linear circuits take one LAPACK solve and no Newton step;
+    level-2 conveyor clamps are iterated on their ports with step-halving
+    damping (see ``_solve_points``).
     """
-    asm = _Assembly(circuit)
-    opts = opts or NewtonOptions()
-    x0 = init.vector if isinstance(init, Solution) else init
-    if x0 is None:
-        x0 = np.zeros(circuit.size)
-    return _labelled(circuit, t, _newton_vector(asm, t, x0, opts))
+    x = _solve_points(_Assembly(circuit), np.array([float(t)]), opts or NewtonOptions())
+    return _labelled(circuit, t, x[0])
 
 
 # ── transient sweep ─────────────────────────────────────────────────
@@ -333,40 +354,17 @@ def transient(
     tstep: float,
     tstop: float,
     opts: NewtonOptions | None = None,
-    warm_start: bool = True,
 ) -> Waveform:
     """Solve t = 0, tstep, ..., tstop as independent operating points.
 
-    Linear circuits reuse one LU factorization for every timepoint; clamped
-    circuits run Newton per point, warm-started from the previous solution
-    unless ``warm_start`` is disabled.
+    All points share one factorization of the MNA matrix; clamped circuits
+    then run Newton on the clamp ports of every point at once.
     """
     if not tstep > 0 or tstop < tstep:
         raise ValueError("transient needs tstep > 0 and tstop >= tstep")
-    opts = opts or NewtonOptions()
-    asm = _Assembly(circuit)
     n_steps = int(math.floor(tstop / tstep + 1e-9))
     times = np.arange(n_steps + 1) * tstep
-    size = circuit.size
-
-    if size == 0:
-        states = np.zeros((len(times), 0))
-    elif not asm.nonlinear:
-        lu, perm = lu_factor(asm.a_static)
-        rhs_all = np.empty((size, len(times)))
-        for j, t in enumerate(times):
-            rhs_all[:, j] = asm.rhs_at(t)
-        states = lu_apply(lu, perm, rhs_all).T  # (T, size)
-    else:
-        states = np.empty((len(times), size))
-        x = np.zeros(size)
-        for j, t in enumerate(times):
-            x0 = x if warm_start else np.zeros(size)
-            try:
-                x = _newton_vector(asm, float(t), x0, opts)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"at t={t:.6g} s: {exc}") from exc
-            states[j] = x
+    states = _solve_points(_Assembly(circuit), times, opts or NewtonOptions())
 
     n = circuit.n_nodes
     labels = circuit.unknown_labels()
@@ -382,7 +380,7 @@ def transient(
         if elem.kind == KIND_VSOURCE:
             i_through = states[:, circuit.branch_dense_index(elem.name)]
         else:
-            i_through = np.array([source_value(elem, t) for t in times])
+            i_through = source_value(elem, times)
         # current enters the + terminal, so delivered power is -v*i
         power[:, s] = -v_branch * i_through
 

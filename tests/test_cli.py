@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ccsim.cli import main
+from ccsim.cli import _csv_line, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PKG_ROOT = Path(__file__).parent.parent
@@ -215,6 +215,45 @@ def test_sweep_rejects_unknown_base(capsys):
         "sweep", "table2", "--param", "R2",
         "--from", "1", "--to", "2", "--points", "2",
     ]) == 1
+
+
+# ── input and output errors ─────────────────────────────────────────
+
+
+def test_run_non_utf8_netlist(tmp_path, capsys):
+    path = tmp_path / "latin1.cir"
+    path.write_bytes("* r\xe9sistance\nV1 1 0 DC 1\nR1 1 0 1k\n.op\n.end\n".encode("latin-1"))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_sweep_directory_base(tmp_path, capsys):
+    assert main([
+        "sweep", str(tmp_path), "--param", "R2",
+        "--from", "1", "--to", "2", "--points", "2",
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_out_path_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "result.csv"
+    assert main(["run", str(AMP_IDEAL), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not out.exists()
+
+
+def test_csv_line_matches_csv_writer():
+    rows = [
+        ("name", "param", "value", "metric", "result", "unit"),
+        ("amp", "", "", "gain(in,out)", "100.0", ""),
+        ('say "hi"', "a,b", "line\nbreak", "crlf\r\n", '"', ","),
+        ("", "", "", "", "", ""),
+        (" lead", "trail ", "tab\there", "semi;colon", "1e-05", "V"),
+    ]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert "".join(map(_csv_line, rows)) == expected.getvalue()
+    assert _csv_line(("a\rb", "c")) == '"a\rb",c\n'
 
 
 # ── module entry point ──────────────────────────────────────────────

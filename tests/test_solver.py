@@ -84,6 +84,13 @@ def test_lu_detects_floating_network():
         lu_solve(SystemMatrix(a, np.zeros(2)))
 
 
+def test_lu_detects_near_singular_matrix():
+    # LAPACK factors this without a zero pivot; the condition check refuses it
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(SingularMatrixError):
+        lu_solve(SystemMatrix(a, np.ones(2)))
+
+
 def test_lu_rejects_nonfinite():
     with pytest.raises(ValueError):
         lu_solve(SystemMatrix(np.array([[np.nan]]), np.ones(1)))
@@ -133,6 +140,31 @@ def test_linear_circuit_converges_in_one_iteration():
     ckt = _circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k")
     sol = newton_solve(ckt, opts=NewtonOptions(max_iter=1))
     assert sol.voltages["2"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("I1 0 n1 DC 0.5n\nR1 n1 0 1meg", 0.5e-3),
+        ("V1 n1 0 DC 0.5n\nR1 n1 0 1k", 0.5e-9),
+    ],
+)
+def test_op_resolves_small_signals(text, expected):
+    sol = newton_solve(_circuit(text))
+    assert sol.voltages["n1"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_op_matches_transient_at_time_zero(level):
+    # the source sits at 0.05 V at t = 0, which clips the level-2 output
+    ckt = _circuit(
+        f"V1 in 0 SIN(50m 10m 1k)\nX1 in x out CCCII+ RX=3538 LEVEL={level}\n"
+        "R1 x 0 1k\nR2 out 0 100k"
+    )
+    op = newton_solve(ckt).vector
+    tran = transient(ckt, 2e-5, 1e-3).solution_at(0).vector
+    assert np.abs(op - tran).max() <= 1e-12 * np.abs(op).max()
+    assert (abs(op[ckt.dense_index("out")]) < 0.51) == (level == 2)
 
 
 def test_active_clamp_needs_more_than_one_iteration():
@@ -269,21 +301,49 @@ def test_transient_kcl_residual_bound():
             assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
-def test_warm_and_cold_start_agree():
+def test_transient_matches_pointwise_op():
+    # every timepoint of one batched transient equals a one-point solve
     ckt = _circuit(
         "V1 in 0 SIN(0 50m 1k)\nX1 in x out CCCII+ RX=3538 LEVEL=2\nR1 x 0 1k\nR2 out 0 100k"
     )
-    warm = transient(ckt, 2e-5, 2e-3, warm_start=True)
-    cold = transient(ckt, 2e-5, 2e-3, warm_start=False)
-    assert np.abs(warm.voltages - cold.voltages).max() <= 1e-9
-    assert np.abs(warm.currents - cold.currents).max() <= 1e-9
+    w = transient(ckt, 2e-5, 2e-3)
+    assert np.abs(w.voltage("out")).max() > 0.49  # clipping
+    for j, t in enumerate(w.times):
+        batched = w.solution_at(j).vector
+        pointwise = newton_solve(ckt, float(t)).vector
+        assert np.abs(batched - pointwise).max() <= 1e-9
+        assert np.abs(residual(ckt, float(t), batched)).max() <= 1e-9
+
+
+def test_two_clipping_conveyors_converge_everywhere():
+    # k = 2 coupled clamp ports: X1's clipped output drives X2's Y input
+    ckt = _circuit(
+        "V1 in 0 SIN(0 50m 1k)\n"
+        "X1 in x1 out1 CCCII+ RX=0 LEVEL=2\nR1 x1 0 1k\nR2 out1 0 100k\n"
+        "X2 out1 x2 out2 CCCII- RX=100 LEVEL=2\nR3 x2 0 1k\nR4 out2 0 50k"
+    )
+    w = transient(ckt, 2e-5, 2e-3)
+    for node in ("out1", "out2"):
+        assert 0.49 < np.abs(w.voltage(node)).max() <= 0.51
+    for j, t in enumerate(w.times):
+        x = w.solution_at(j).vector
+        assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
 def test_transient_failure_reports_timepoint():
     ckt = _circuit(LEVEL2_AMP.replace("DC 0.05", "SIN(0 50m 1k)"))
+    opts = NewtonOptions(max_iter=1)
     with pytest.raises(NoConvergenceError) as exc:
-        transient(ckt, 2e-5, 1e-3, opts=NewtonOptions(max_iter=1))
-    assert exc.value.time is not None
+        transient(ckt, 2e-5, 1e-3, opts=opts)
+    first_failing = None
+    for t in np.arange(51) * 2e-5:
+        try:
+            newton_solve(ckt, float(t), opts=opts)
+        except NoConvergenceError as pointwise:
+            first_failing = pointwise
+            break
+    assert exc.value.time == first_failing.time
+    assert exc.value.residual == first_failing.residual
 
 
 def test_transient_rejects_bad_grid():
