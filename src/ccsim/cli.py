@@ -127,19 +127,20 @@ def _run_file(args, stream) -> int:
     if (args.dump_waveform or doc.measures()) and tran is None:
         print("error: .measure and --dump-waveform need a .tran directive", file=sys.stderr)
         return 1
+    # .op is the t = 0 point, which is also the first .tran point
+    waveform = transient(circuit, *tran.args) if tran is not None else None
+    if args.dump_waveform:
+        _dump_waveform(waveform, args.dump_waveform, stream)
+        return 0
     rows: list[Row] = []
     for directive in doc.directives:
         if directive.kind == "op":
-            sol = newton_solve(circuit)
+            sol = waveform.solution_at(0) if waveform is not None else newton_solve(circuit)
             for node, v in sol.voltages.items():
                 rows.append((name, "", "", f"v({node})", _fmt(v), "V"))
             for elem, i in sol.currents.items():
                 rows.append((name, "", "", f"i({elem})", _fmt(i), "A"))
-    if tran is not None:
-        waveform = transient(circuit, *tran.args)
-        if args.dump_waveform:
-            _dump_waveform(waveform, args.dump_waveform, stream)
-            return 0
+    if waveform is not None:
         rows.extend(_measure_rows(name, doc, waveform))
     _write_rows(rows, args.format, stream)
     return 0

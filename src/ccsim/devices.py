@@ -263,3 +263,27 @@ def eval_clamp(v_z: float | np.ndarray, params: CcciiParams) -> tuple:
     beyond = np.maximum(v_z - params.vdd, 0.0) - np.maximum(params.vss - v_z, 0.0)
     current = g_sat * ((above * above - below * below) / (2.0 * delta) + beyond)
     return current, g_sat * (above + below) / delta
+
+
+def clamp_port_root(u: np.ndarray, s: float, params: CcciiParams) -> np.ndarray:
+    """Exact root v of ``v + s * c(v) = u`` per lane, c the clamp of ``eval_clamp``.
+
+    This is the port equation of a clamped Z node whose driving-point
+    resistance is ``s``. For s > 0 its left side increases strictly, so the
+    value of ``u`` picks the clamp segment: the dead zone (v = u), a
+    quadratic band (root in the cancellation-free form 2d / (1 + sqrt(...))),
+    or a saturated ramp. Returns ``u`` itself when s <= 0 or when the two
+    bands overlap (rails closer than 2 * CLAMP_BAND); no closed form is
+    claimed there.
+    """
+    delta = CLAMP_BAND
+    hi, lo = params.vdd - delta, params.vss + delta
+    if not s > 0 or hi < lo:
+        return u
+    sg = s / CLAMP_RSAT
+    up, down = np.maximum(u - hi, 0.0), np.maximum(lo - u, 0.0)  # at most one > 0
+    depth = up + down
+    v = np.clip(u, lo, hi) + 2.0 * (up - down) / (1.0 + np.sqrt(1.0 + 2.0 * sg * depth / delta))
+    # beyond the band's outer edge, u - hi = delta * (1 + s*g/2), the ramp is linear
+    rail = np.where(up > 0.0, params.vdd - delta / 2.0, params.vss + delta / 2.0)
+    return np.where(depth > delta * (1.0 + sg / 2.0), (u + sg * rail) / (1.0 + sg), v)

@@ -8,7 +8,7 @@ One element or directive per line. Supported lines:
     I<name> n+ n- DC <a>
     X<name> <y> <x> <z> CCCII+|CCCII- [RX=<ohms> | IB=<amps> BETA=<a_per_v2>]
                                       [LEVEL=1|2] [VDD=<v>] [VSS=<v>]
-    .tran <tstep> <tstop>
+    .tran <tstep> <tstop>                 (at most MAX_TRAN_POINTS points)
     .op
     .measure vpp(<node>) | gain(<in_node>,<out_node>) | power
     .end
@@ -40,9 +40,14 @@ from .errors import (
     NetlistSyntaxError,
     NoGroundReferenceError,
     UnknownElementKindError,
+    UnknownNodeError,
 )
 
 GROUND = "0"
+
+# Most timepoints a .tran grid may have (each holds a full state vector); the
+# paper's runs use 251.
+MAX_TRAN_POINTS = 100_000
 
 SUFFIXES = {
     "f": 1e-15,
@@ -255,6 +260,20 @@ _ELEMENT_PARSERS = {
 }
 
 
+def tran_step_count(tstep: float, tstop: float) -> int:
+    """Steps of the grid t = 0, tstep, ..., tstop, which has one more point.
+
+    Raises ValueError unless tstep > 0, tstop >= tstep and the grid has at
+    most MAX_TRAN_POINTS points.
+    """
+    if not tstep > 0 or tstop < tstep:
+        raise ValueError(".tran needs tstep > 0 and tstop >= tstep")
+    steps = tstop / tstep + 1e-9
+    if not steps < MAX_TRAN_POINTS:
+        raise ValueError(f".tran grid exceeds {MAX_TRAN_POINTS} points")
+    return int(steps)
+
+
 def _parse_directive(line_text: str, line: int, have_tran: bool) -> Directive | None:
     tokens = line_text.split()
     word = tokens[0].lower()
@@ -271,8 +290,10 @@ def _parse_directive(line_text: str, line: int, have_tran: bool) -> Directive | 
             raise NetlistSyntaxError(".tran takes: .tran <tstep> <tstop>", line)
         tstep = parse_value(tokens[1], line)
         tstop = parse_value(tokens[2], line)
-        if not tstep > 0 or tstop < tstep:
-            raise NetlistSyntaxError(".tran needs tstep > 0 and tstop >= tstep", line)
+        try:
+            tran_step_count(tstep, tstop)
+        except ValueError as exc:
+            raise NetlistSyntaxError(str(exc), line) from None
         return Directive("tran", (tstep, tstop))
     if word == ".measure":
         m = _MEASURE_RE.match(" ".join(tokens[1:]))
@@ -345,7 +366,8 @@ _CCCII_Z_TERMINAL = 2
 
 
 def validate(doc: NetlistDocument) -> Circuit:
-    """Resolve node labels, allocate branches, check solvability.
+    """Resolve node labels, allocate branches, check solvability and that
+    every ``.measure`` node is ground or a solved node.
 
     A node touched only by one conveyor Z port is dropped from the system
     (the mirrored current has no path, so the port is left unstamped); that
@@ -393,6 +415,11 @@ def validate(doc: NetlistDocument) -> Circuit:
         raise DanglingNodeError(
             f"nodes not reachable from ground: {', '.join(sorted(unreachable))}"
         )
+
+    for directive in doc.measures():
+        for label in directive.args[1:]:
+            if label != GROUND and label not in node_index:
+                raise UnknownNodeError(f".measure node {label!r} is not a solved node")
 
     branch_index: dict[str, int] = {}
     for elem in doc.elements:

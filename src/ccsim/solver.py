@@ -8,13 +8,14 @@ the static MNA matrix, which is factored once per circuit; the only
 nonlinearity, the level-2 rail clamp, sits on the diagonal of the k
 clamped Z rows, so Newton runs on those k port voltages alone, for all
 timepoints at once (the port reduction of the nodal DK method: Yeh, Abel &
-Smith, IEEE TASLP 2010; Holters & Zoelzer, EUSIPCO 2015). ``.op`` is the
-case of one timepoint.
+Smith, IEEE TASLP 2010; Holters & Zoelzer, EUSIPCO 2015). The clamp is
+piecewise quadratic, so each port's own equation has a closed-form root;
+Newton starts there and takes no step unless clamp ports feed back on each
+other. ``.op`` is the case of one timepoint.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .netlist import (
     KIND_VSOURCE,
     Circuit,
     ElementDecl,
+    tran_step_count,
 )
 
 PIVOT_RTOL = 1e-13  # reciprocal of the largest accepted 1-norm condition number
@@ -252,6 +254,16 @@ def _clamp_currents(clamps: list, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return i, g
 
 
+def _mix(i: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``i @ mat.T`` for port currents ``i`` (lanes, k >= 1), summed column by
+    column: a BLAS product groups its sums by the operand shapes, and a point
+    must not depend on how many points share its solve."""
+    out = np.multiply.outer(i[:, 0], mat[:, 0])
+    for j in range(1, i.shape[1]):
+        out += np.multiply.outer(i[:, j], mat[:, j])
+    return out
+
+
 def _port_step(s: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Newton step -J^-1 f on every lane, J = I + S diag(g)."""
     if len(s) == 1:
@@ -272,9 +284,13 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
 
         v - v_lin + S c(v) = 0,     x = x_lin - M c(v),
 
-    solved by damped Newton on all timepoints at once. The full residual of
-    x is then c(E^T x) - c(v) on the clamp rows (zero elsewhere); a point has
-    converged when it is at most ``abs_tol`` on every row.
+    solved by damped Newton on all timepoints at once. Newton starts from one
+    Gauss-Seidel sweep in declaration order: port j takes the exact root of
+    v_j + S_jj c_j(v_j) = v_lin_j - sum_{i<j} S_ji c_i, so a single clamp or a
+    cascade of clamps in declaration order (S_ji = 0 for i > j) starts at its
+    solution. The full residual of x is c(E^T x) - c(v) on the clamp rows
+    (zero elsewhere); a point has converged when it is at most ``abs_tol`` on
+    every row.
     """
     size = asm.circuit.size
     if size == 0:
@@ -296,21 +312,32 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     s = m[z]  # (k, k)
     v_lin = x[:, z]
 
+    def misfit(lanes, i):
+        """Full residual of the lanes whose clamp currents are i."""
+        x_z = v_lin[lanes] - _mix(i, s)
+        return np.abs(_clamp_currents(asm.clamps, x_z)[0] - i).max(axis=1)
+
     def evaluate(lanes, v):
         """Clamp currents and conductances at v, and the full residual."""
         i, g = _clamp_currents(asm.clamps, v)
-        x_z = v_lin[lanes] - i @ s.T
-        return i, g, np.abs(_clamp_currents(asm.clamps, x_z)[0] - i).max(axis=1)
+        return i, g, misfit(lanes, i)
 
-    v = v_lin.copy()
-    i, g, r = evaluate(slice(None), v)
+    # one Gauss-Seidel sweep of exact port roots; u[:, j] collects the
+    # currents predicted for the ports before j
+    u = v_lin.copy()
+    v, i, g = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    for j, (_, params) in enumerate(asm.clamps):
+        v[:, j] = devices.clamp_port_root(u[:, j], s[j, j], params)
+        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], params)
+        u[:, j + 1:] -= np.multiply.outer(i[:, j], s[j + 1:, j])
+    r = misfit(slice(None), i)
     # written ~(a <= b) so that a NaN residual counts as unconverged and worse
     active = np.flatnonzero(~(r <= opts.abs_tol))
     for _ in range(opts.max_iter):
         if not active.size:
             break
         va = v[active]
-        step = _port_step(s, g[active], va - v_lin[active] + i[active] @ s.T)
+        step = _port_step(s, g[active], va - v_lin[active] + _mix(i[active], s))
         v_new = va + step
         i_new, g_new, r_new = evaluate(active, v_new)
         worse = np.flatnonzero(~(r_new <= r[active]) if opts.damping else [])
@@ -330,7 +357,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
             residual=float(r[first]),
             time=float(times[first]),
         )
-    return x - i @ m.T
+    return x - _mix(i, m)
 
 
 def newton_solve(
@@ -339,8 +366,9 @@ def newton_solve(
     """Solve the operating point at time ``t``.
 
     Purely linear circuits take one LAPACK solve and no Newton step;
-    level-2 conveyor clamps are iterated on their ports with step-halving
-    damping (see ``_solve_points``).
+    level-2 conveyor clamps start at the exact root of their port equations
+    and are iterated, with step-halving damping, only where clamp ports are
+    coupled both ways (see ``_solve_points``).
     """
     x = _solve_points(_Assembly(circuit), np.array([float(t)]), opts or NewtonOptions())
     return _labelled(circuit, t, x[0])
@@ -358,12 +386,10 @@ def transient(
     """Solve t = 0, tstep, ..., tstop as independent operating points.
 
     All points share one factorization of the MNA matrix; clamped circuits
-    then run Newton on the clamp ports of every point at once.
+    then run Newton on the clamp ports of every point at once. Raises
+    ValueError for a grid that ``.tran`` would reject (``tran_step_count``).
     """
-    if not tstep > 0 or tstop < tstep:
-        raise ValueError("transient needs tstep > 0 and tstop >= tstep")
-    n_steps = int(math.floor(tstop / tstep + 1e-9))
-    times = np.arange(n_steps + 1) * tstep
+    times = np.arange(tran_step_count(tstep, tstop) + 1) * tstep
     states = _solve_points(_Assembly(circuit), times, opts or NewtonOptions())
 
     n = circuit.n_nodes

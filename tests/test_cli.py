@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ccsim import cli
 from ccsim.cli import _csv_line, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,6 +45,43 @@ def test_run_op_reports_solution(tmp_path, capsys):
     rows = _rows(capsys.readouterr().out)
     assert _metric(rows, "v(2)") == pytest.approx(0.5)
     assert _metric(rows, "i(V1)") == pytest.approx(-0.5e-3)
+
+
+def _op_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if ",v(" in line or ",i(" in line]
+
+
+@pytest.mark.parametrize(
+    "fixture, edit",
+    [
+        ("amp_level2.cir", ("", "")),
+        ("amp_level2.cir", ("SIN(0 50m", "SIN(20m 50m")),  # clipped at t = 0
+        ("divider.cir", ("", "")),
+    ],
+)
+def test_op_rows_do_not_depend_on_tran(fixture, edit, tmp_path, capsys, monkeypatch):
+    lines = (FIXTURES / "good" / fixture).read_text().replace(*edit).splitlines()
+    body = [ln for ln in lines if not ln.startswith((".tran", ".measure", ".op", ".end"))]
+    alone, with_tran = tmp_path / "alone.cir", tmp_path / "with_tran.cir"
+    alone.write_text("\n".join(body + [".op", ".end"]) + "\n")
+    with_tran.write_text("\n".join(body + [".op", ".tran 20u 1m", ".measure power", ".end"]))
+    assert main(["run", str(alone)]) == 0
+    expected = _op_lines(capsys.readouterr().out)
+    assert expected
+    # with a .tran, the .op rows come from its t = 0 point, not a second solve
+    monkeypatch.setattr(cli, "newton_solve", None)
+    assert main(["run", str(with_tran)]) == 0
+    out = capsys.readouterr().out
+    assert _op_lines(out) == expected
+    assert "power_avg" in out
+
+
+def test_run_rejects_measure_of_unknown_node_before_solving(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "nosuch.cir"
+    path.write_text("V1 1 0 SIN(0 1 1k)\nR1 1 0 1k\n.tran 20u 1m\n.measure vpp(nosuch)\n.end\n")
+    monkeypatch.setattr(cli, "transient", None)
+    assert main(["run", str(path)]) == 1
+    assert "nosuch" in capsys.readouterr().err
 
 
 def test_run_syntax_error_names_line(tmp_path, capsys):

@@ -9,8 +9,10 @@ import pytest
 
 from ccsim.devices import (
     CLAMP_BAND,
+    CLAMP_RSAT,
     CcciiParams,
     MosProcessParams,
+    clamp_port_root,
     compute_rx,
     eval_clamp,
     stamp_cccii_linear,
@@ -205,3 +207,37 @@ def test_clamp_derivative_matches_finite_differences():
 def test_clamp_requires_level_two():
     with pytest.raises(ValueError):
         eval_clamp(0.0, CcciiParams(level=1, rx_ohms=0.0))
+
+
+# ── exact port root of the clamp ────────────────────────────────────
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 1e3, 1e5])
+@pytest.mark.parametrize("rails", [(0.5, -0.5), (1.2, 0.4), (0.01, -0.01)])
+def test_clamp_port_root_solves_port_equation(s, rails):
+    params = CcciiParams(level=2, rx_ohms=0.0, vdd=rails[0], vss=rails[1])
+    hi, lo = params.vdd - CLAMP_BAND, params.vss + CLAMP_BAND
+    edge = s / CLAMP_RSAT * CLAMP_BAND / 2.0  # u - rail where the band ends
+    breakpoints = [lo, hi, params.vdd + edge, params.vss - edge]
+    segments = [
+        np.linspace(lo, hi, 7),  # dead zone
+        np.linspace(hi, params.vdd + edge, 9),  # upper band
+        np.linspace(params.vss - edge, lo, 9),  # lower band
+        params.vdd + edge + np.geomspace(1e-9, 1e3, 13),  # upper ramp
+        params.vss - edge - np.geomspace(1e-9, 1e3, 13),  # lower ramp
+    ]
+    u = np.concatenate([breakpoints, *segments])
+    v = clamp_port_root(u, s, params)
+    gap = v + s * eval_clamp(v, params)[0] - u
+    assert np.all(np.abs(gap) <= 1e-12 * np.abs(u))
+
+
+def test_clamp_port_root_passes_through_without_port_resistance():
+    u = np.array([-2.0, -0.495, 0.0, 0.495, 2.0])
+    assert np.array_equal(clamp_port_root(u, 0.0, L2), u)
+
+
+def test_clamp_port_root_passes_through_overlapping_bands():
+    narrow = CcciiParams(level=2, rx_ohms=0.0, vdd=0.5 * CLAMP_BAND, vss=-0.5 * CLAMP_BAND)
+    u = np.array([-1.0, -1e-3, 0.0, 2e-3, 1.0])
+    assert np.array_equal(clamp_port_root(u, 100.0, narrow), u)

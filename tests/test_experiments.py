@@ -1,8 +1,12 @@
 """Amplifier builders, R_X calibration, and the reproduction runner."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ccsim.cli import main
 from ccsim.devices import CcciiParams
 from ccsim.errors import GainOutOfRangeError, UnknownExperimentError
 from ccsim.experiments import (
@@ -208,3 +212,17 @@ def test_experiment_row_selection(report):
     assert len(experiment_rows(report, "all")) == len(report.rows)
     with pytest.raises(UnknownExperimentError):
         experiment_rows(report, "fig9")
+
+
+def test_experiment_all_matches_recorded_table(capsys):
+    # tests/fixtures/experiment_all.csv is `ccsim experiment all` as first
+    # published: labels and units exact, numbers to 1e-9 relative
+    recorded_path = Path(__file__).parent / "fixtures" / "experiment_all.csv"
+    recorded = list(csv.reader(recorded_path.read_text().splitlines()))
+    assert main(["experiment", "all"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == len(recorded) == 57
+    assert rows[0] == recorded[0]
+    for row, ref in zip(rows[1:], recorded[1:]):
+        assert row[:4] + row[5:] == ref[:4] + ref[5:]
+        assert float(row[4]) == pytest.approx(float(ref[4]), rel=1e-9, abs=0.0)

@@ -18,8 +18,10 @@ from ccsim.errors import (
     NetlistSyntaxError,
     NoGroundReferenceError,
     UnknownElementKindError,
+    UnknownNodeError,
 )
 from ccsim.netlist import (
+    MAX_TRAN_POINTS,
     Circuit,
     Directive,
     ElementDecl,
@@ -183,6 +185,16 @@ def test_bad_directives(text):
         parse_netlist(f"V1 a 0 DC 1\n{text}\n.end")
 
 
+def test_tran_grid_cap():
+    # t = 0, 1, ..., N - 1 has exactly the cap's N points; one more is refused
+    last = float(MAX_TRAN_POINTS - 1)
+    assert parse_netlist(f"V1 a 0 DC 1\n.tran 1 {last!r}\n.end").tran().args == (1.0, last)
+    for grid in (f"1 {last + 1.0!r}", "1f 1"):
+        with pytest.raises(NetlistSyntaxError) as exc:
+            parse_netlist(f"V1 a 0 DC 1\n.tran {grid}\n.end")
+        assert exc.value.line == 2
+
+
 def test_second_tran_rejected():
     with pytest.raises(NetlistSyntaxError):
         parse_netlist("V1 a 0 DC 1\n.tran 1u 1m\n.tran 1u 2m\n.end")
@@ -259,6 +271,19 @@ def test_floating_conveyor_z_dropped():
     assert ckt.floating_nodes == frozenset({"9"})
     assert "9" not in ckt.node_index
     assert ckt.dense_index("9") is None
+
+
+@pytest.mark.parametrize("node", ["nosuch", "9"])  # unknown, floating Z
+def test_measure_of_unsolved_node_rejected(node):
+    doc = parse_netlist(
+        f"V1 1 0 DC 1\nX1 1 2 9 CCCII+ RX=0\nR1 2 0 1k\n.tran 1m 2m\n.measure vpp({node})\n.end"
+    )
+    with pytest.raises(UnknownNodeError):
+        validate(doc)
+
+
+def test_measure_of_ground_and_solved_nodes_accepted():
+    validate(parse_netlist("V1 1 0 DC 1\nR1 1 0 1k\n.tran 1m 2m\n.measure gain(0,1)\n.end"))
 
 
 def test_unreachable_island_rejected():

@@ -8,6 +8,7 @@ for linear circuits.
 import numpy as np
 import pytest
 
+from ccsim.devices import CLAMP_BAND, CLAMP_RSAT
 from ccsim.errors import NoConvergenceError, SingularMatrixError
 from ccsim.netlist import parse_netlist, validate
 from ccsim.solver import (
@@ -53,6 +54,20 @@ V1 in 0 DC 0.05
 X1 in x out CCCII+ RX=0 LEVEL=2
 R1 x 0 1k
 R2 out 0 100k
+"""
+
+# two clamped conveyors in a negative-feedback loop through RF: the clamp
+# ports are coupled both ways, so no single sweep of port roots solves them
+FEEDBACK_PAIR = """
+V1 in 0 SIN(0 1 1k)
+R0 in y1 1k
+X1 y1 x1 out1 CCCII+ RX=0 LEVEL=2
+R1 x1 0 1k
+R2 out1 0 100k
+X2 out1 x2 out2 CCCII- RX=100 LEVEL=2
+R3 x2 0 1k
+R4 out2 0 50k
+RF out2 y1 100k
 """
 
 
@@ -168,9 +183,13 @@ def test_op_matches_transient_at_time_zero(level):
 
 
 def test_active_clamp_needs_more_than_one_iteration():
+    # single clamps start at their exact root; ports coupled by feedback iterate
+    ckt = _circuit(FEEDBACK_PAIR)
     with pytest.raises(NoConvergenceError) as exc:
-        newton_solve(_circuit(LEVEL2_AMP), opts=NewtonOptions(max_iter=1))
+        newton_solve(ckt, 2.5e-4, opts=NewtonOptions(max_iter=2))
     assert exc.value.residual > 0
+    sol = newton_solve(ckt, 2.5e-4)
+    assert np.abs(residual(ckt, 2.5e-4, sol.vector)).max() <= 1e-9
 
 
 def test_clamped_output_stays_near_rails():
@@ -330,9 +349,66 @@ def test_two_clipping_conveyors_converge_everywhere():
         assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
+def _random_stage(rng, name, y, x, z):
+    """Netlist lines of one random level-2 conveyor stage, its gain (Z over
+    Y), the Z node's driving-point resistance R2 and the distance from 0 V
+    to the nearer rail."""
+    r1, r2 = float(10 ** rng.uniform(2.0, 4.5)), float(10 ** rng.uniform(2.5, 5.5))
+    if rng.random() < 0.5:
+        rx = float(rng.uniform(0.0, 5e3))
+        bias = f"RX={rx!r}"
+    else:
+        ib, beta = float(10 ** rng.uniform(-6.0, -3.0)), float(10 ** rng.uniform(-4.0, -2.0))
+        rx = 1.0 / np.sqrt(8.0 * beta * ib)
+        bias = f"IB={ib!r} BETA={beta!r}"
+    sign = rng.choice([1, -1])
+    # rails from 30 mV (narrow, bands of 10 mV on each side) to 3 V apart
+    vdd, vss = 10 ** rng.uniform(np.log10(0.015), np.log10(1.5), size=2)
+    vdd, vss = float(vdd), -float(vss)
+    lines = [
+        f"{name} {y} {x} {z} CCCII{'+' if sign > 0 else '-'} {bias} LEVEL=2 "
+        f"VDD={vdd!r} VSS={vss!r}",
+        f"R1{name} {x} 0 {r1!r}",
+        f"R2{name} {z} 0 {r2!r}",
+    ]
+    return lines, sign * r2 / (r1 + rx), r2, min(vdd, -vss)
+
+
+def _random_drive(rng, r2, rail):
+    """Peak linear Z voltage inside the dead zone, in the clamp band, or on
+    the saturated ramp beyond it (in the port equation, the band ends
+    R2 * CLAMP_BAND / (2 * CLAMP_RSAT) past the rail)."""
+    band_end = rail + r2 / CLAMP_RSAT * CLAMP_BAND / 2.0
+    regime = rng.integers(3)
+    if regime == 0:
+        return rng.uniform(0.2, 0.95) * (rail - CLAMP_BAND)
+    if regime == 1:
+        return rng.uniform(rail - CLAMP_BAND, band_end)
+    return band_end * rng.uniform(1.5, 20.0)
+
+
+def test_random_clamped_amplifiers_need_no_newton_step():
+    # single conveyors and two-stage cascades in declaration order start at
+    # their exact port roots, so one allowed Newton iteration is never used
+    rng = np.random.default_rng(2024)
+    for case in range(40):
+        lines, gain, r2, rail = _random_stage(rng, "X1", "in", "x1", "out1")
+        peak = _random_drive(rng, r2, rail)
+        if case % 2:
+            second, gain2, r2b, rail2 = _random_stage(rng, "X2", "out1", "x2", "out2")
+            lines += second
+            peak = min(peak, _random_drive(rng, r2b, rail2) / abs(gain2))
+        amplitude = float(peak / abs(gain))
+        ckt = _circuit(f"V1 in 0 SIN(0 {amplitude!r} 1k)\n" + "\n".join(lines))
+        w = transient(ckt, 2e-5, 1e-3, opts=NewtonOptions(max_iter=1))
+        for j, t in enumerate(w.times):
+            x = w.solution_at(j).vector
+            assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
+
+
 def test_transient_failure_reports_timepoint():
-    ckt = _circuit(LEVEL2_AMP.replace("DC 0.05", "SIN(0 50m 1k)"))
-    opts = NewtonOptions(max_iter=1)
+    ckt = _circuit(FEEDBACK_PAIR)
+    opts = NewtonOptions(max_iter=2)
     with pytest.raises(NoConvergenceError) as exc:
         transient(ckt, 2e-5, 1e-3, opts=opts)
     first_failing = None
@@ -350,3 +426,5 @@ def test_transient_rejects_bad_grid():
     ckt = _circuit("V1 1 0 DC 1\nR1 1 0 1k")
     with pytest.raises(ValueError):
         transient(ckt, 0.0, 1e-3)
+    with pytest.raises(ValueError):  # 1e15 points: refused before allocating
+        transient(ckt, 1e-15, 1.0)
