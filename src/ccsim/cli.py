@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
     InputFileError,
     SolverError,
     UnknownExperimentError,
+    UnknownNodeError,
     UnknownParameterError,
 )
 from .experiments import (
@@ -44,10 +46,12 @@ from .experiments import (
 )
 from .measure import evaluate_directive
 from .netlist import (
+    GROUND,
     KIND_CCCII,
     KIND_ISOURCE,
     KIND_RESISTOR,
     KIND_VSOURCE,
+    Circuit,
     NetlistDocument,
     parse_netlist,
     parse_value,
@@ -63,17 +67,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _csv_line(cells) -> str:
     """One CSV record as ``csv.writer`` writes it with QUOTE_MINIMAL and a
     newline terminator: a cell holding a comma, quote or line break is quoted,
     with inner quotes doubled. Unlike that writer, a lone carriage return is
     quoted too, so readers do not take it for a line end. Written by hand
     because each ``csv.writer`` allocates a record buffer of at least 128 KB."""
-    quoted = (
-        '"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n') else c
-        for c in cells
-    )
-    return ",".join(quoted) + "\n"
+    if _NEEDS_QUOTES.search("".join(cells)):  # most records need no quoting
+        cells = [
+            '"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells
+        ]
+    return ",".join(cells) + "\n"
 
 
 def _write_rows(rows: list[Row], fmt: str, stream) -> None:
@@ -84,6 +91,12 @@ def _write_rows(rows: list[Row], fmt: str, stream) -> None:
     widths = [max(len(row[i]) for row in cells) for i in range(len(_HEADER))]
     for row in cells:
         stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+
+
+def _check_dump_node(circuit: Circuit, node: str) -> None:
+    """Reject a waveform-dump node that has no trace, before solving."""
+    if node != GROUND and node not in circuit.node_index:
+        raise UnknownNodeError(f"no trace for node {node!r}")
 
 
 def _dump_waveform(waveform, node: str, stream) -> None:
@@ -127,6 +140,8 @@ def _run_file(args, stream) -> int:
     if (args.dump_waveform or doc.measures()) and tran is None:
         print("error: .measure and --dump-waveform need a .tran directive", file=sys.stderr)
         return 1
+    if args.dump_waveform:
+        _check_dump_node(circuit, args.dump_waveform)
     # .op is the t = 0 point, which is also the first .tran point
     waveform = transient(circuit, *tran.args) if tran is not None else None
     if args.dump_waveform:
@@ -164,6 +179,7 @@ def _experiment_circuit(name: str):
 def _run_experiment(args, stream) -> int:
     if args.dump_waveform:
         doc, circuit = _experiment_circuit(args.name)
+        _check_dump_node(circuit, args.dump_waveform)
         waveform = transient(circuit, *doc.tran().args)
         _dump_waveform(waveform, args.dump_waveform, stream)
         return 0

@@ -19,8 +19,9 @@ Model levels:
 
 Stamps are additive contributions to a dense MNA system whose unknowns are
 node voltages followed by branch currents. Row/column arguments are dense
-indices; ``None`` marks an index-less node (ground, or a node dropped by
-validation) and suppresses the corresponding entries.
+indices; in the ``stamp_*`` functions ``None`` marks an index-less node
+(ground, or a node dropped by validation) and suppresses the corresponding
+entries.
 """
 
 from __future__ import annotations
@@ -164,24 +165,54 @@ class StampContribution:
 
 
 def _keep_matrix(entries) -> tuple:
-    return tuple((r, c, v) for r, c, v in entries if r is not None and c is not None)
+    return tuple((r, c, v) for r, c, v in zip(*entries) if r is not None and c is not None)
 
 
 def _keep_rhs(entries) -> tuple:
-    return tuple((r, v) for r, v in entries if r is not None)
+    return tuple((r, v) for r, v in zip(*entries) if r is not None)
+
+
+# ── stamp layouts ───────────────────────────────────────────────────
+#
+# Each ``_*_entries`` function is the one place that knows its device's stamp
+# layout. It returns parallel (rows, cols, vals) tuples of matrix entries, or
+# (rows, vals) of right-hand-side entries, for the indices it is given. Any
+# index may stand for an index-less node: the public ``stamp_*`` functions
+# pass ``None`` and drop those entries; the solver's triplet assembly passes
+# a sink index whose row and column it slices off after summing.
+
+
+def _resistor_entries(p, m, r: float) -> tuple[tuple, tuple, tuple]:
+    """Conductance entries of a resistor ``r`` between nodes p and m."""
+    if not (r > 0 and math.isfinite(r)):
+        raise NonPositiveResistanceError(f"resistance must be positive and finite, got {r}")
+    g = 1.0 / r
+    return (p, m, p, m), (p, m, m, p), (g, g, -g, -g)
+
+
+def _vsource_entries(p, m, branch: int) -> tuple[tuple, tuple, tuple]:
+    """Incidence entries of a voltage source's branch current; its value goes
+    to the right-hand side at row ``branch``."""
+    return (p, m, branch, branch), (branch, branch, p, m), (1.0, -1.0, 1.0, -1.0)
+
+
+def _isource_entries(p, m, current: float) -> tuple[tuple, tuple]:
+    """Right-hand-side entries of a current source driving p -> m."""
+    return (p, m), (-current, current)
+
+
+def _cccii_entries(y, x, z, branch: int, params: CcciiParams) -> tuple[tuple, tuple, tuple]:
+    """Linear conveyor entries; see ``stamp_cccii_linear`` for the rows."""
+    return (
+        (branch, branch, branch, x, z),
+        (x, y, branch, branch, branch),
+        (1.0, -1.0, -params.resolve_rx(), 1.0, float(params.polarity)),
+    )
 
 
 def stamp_resistor(nodes: tuple[int | None, int | None], r: float) -> StampContribution:
     """Conductance stamp of a two-terminal resistor."""
-    if not (r > 0 and math.isfinite(r)):
-        raise NonPositiveResistanceError(f"resistance must be positive and finite, got {r}")
-    g = 1.0 / r
-    np_, nm = nodes
-    return StampContribution(
-        matrix_entries=_keep_matrix(
-            [(np_, np_, +g), (nm, nm, +g), (np_, nm, -g), (nm, np_, -g)]
-        )
-    )
+    return StampContribution(matrix_entries=_keep_matrix(_resistor_entries(*nodes, r)))
 
 
 def stamp_vsource(
@@ -193,11 +224,8 @@ def stamp_vsource(
     of the - terminal (passive convention), so a source delivering power
     carries a negative branch current.
     """
-    np_, nm = nodes
     return StampContribution(
-        matrix_entries=_keep_matrix(
-            [(np_, branch, +1.0), (nm, branch, -1.0), (branch, np_, +1.0), (branch, nm, -1.0)]
-        ),
+        matrix_entries=_keep_matrix(_vsource_entries(*nodes, branch)),
         rhs_entries=((branch, value_at_t),),
     )
 
@@ -207,10 +235,7 @@ def stamp_isource(
 ) -> StampContribution:
     """RHS stamp of an independent current source driving ``current`` amps
     from the + node through itself into the - node."""
-    np_, nm = nodes
-    return StampContribution(
-        rhs_entries=_keep_rhs([(np_, -current), (nm, +current)])
-    )
+    return StampContribution(rhs_entries=_keep_rhs(_isource_entries(*nodes, current)))
 
 
 def stamp_cccii_linear(
@@ -228,20 +253,7 @@ def stamp_cccii_linear(
         node Y:  nothing (I_Y = 0 structurally)
         node Z:  +sigma * i_x enters the device
     """
-    y, x, z = nodes
-    rx = params.resolve_rx()
-    sigma = float(params.polarity)
-    return StampContribution(
-        matrix_entries=_keep_matrix(
-            [
-                (branch, x, +1.0),
-                (branch, y, -1.0),
-                (branch, branch, -rx),
-                (x, branch, +1.0),
-                (z, branch, sigma),
-            ]
-        )
-    )
+    return StampContribution(matrix_entries=_keep_matrix(_cccii_entries(*nodes, branch, params)))
 
 
 def eval_clamp(v_z: float | np.ndarray, params: CcciiParams) -> tuple:

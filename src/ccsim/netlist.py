@@ -26,6 +26,7 @@ The parser is total: any input yields either a NetlistDocument or a
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -89,7 +90,7 @@ def parse_value(text: str, line: int | None = None) -> float:
     value = float(mantissa)
     if suffix:
         value *= SUFFIXES[suffix.lower()]
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NetlistSyntaxError(f"non-finite value {text!r}", line)
     return value
 
@@ -401,15 +402,12 @@ def validate(doc: NetlistDocument) -> Circuit:
     # Every indexed node must reach ground through element co-incidence.
     reachable = {GROUND}
     queue = deque([GROUND])
-    adjacency: dict[str, set[str]] = {}
-    for elem in doc.elements:
-        for a in elem.nodes:
-            adjacency.setdefault(a, set()).update(n for n in elem.nodes if n != a)
     while queue:
-        for nbr in adjacency.get(queue.popleft(), ()):
-            if nbr not in reachable:
-                reachable.add(nbr)
-                queue.append(nbr)
+        for elem, _ in touches[queue.popleft()]:
+            for nbr in elem.nodes:
+                if nbr not in reachable:
+                    reachable.add(nbr)
+                    queue.append(nbr)
     unreachable = [n for n in node_index if n not in reachable]
     if unreachable:
         raise DanglingNodeError(

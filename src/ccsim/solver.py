@@ -132,34 +132,50 @@ class _Assembly:
     clamps: list = field(init=False)  # (z row, CcciiParams)
 
     def __post_init__(self):
+        # Triplet assembly: one pass collects every device's (row, col, value)
+        # entries, ground and floating Z terminals sent to a sink index n
+        # whose row and column are sliced off; then one scatter sums them in
+        # declaration order, so each cell gets the bits of stamping in turn.
         ckt = self.circuit
         n = ckt.size
-        self.a_static = np.zeros((n, n))
-        self.rhs_static = np.zeros(n)
+        at = ckt.node_index.get
+        rows, cols, vals, rhs_rows, rhs_vals = [], [], [], [], []
         self.vsource_rows = []
         self.clamps = []
         for elem in ckt.elements:
-            idx = [ckt.dense_index(lbl) for lbl in elem.nodes]
+            nodes = elem.nodes
+            p, m = at(nodes[0], n), at(nodes[1], n)
             if elem.kind == KIND_RESISTOR:
-                stamp = devices.stamp_resistor((idx[0], idx[1]), elem.params["value"])
+                r, c, v = devices._resistor_entries(p, m, elem.params["value"])
             elif elem.kind == KIND_ISOURCE:
-                stamp = devices.stamp_isource((idx[0], idx[1]), elem.params["dc"])
+                r, v = devices._isource_entries(p, m, elem.params["dc"])
+                rhs_rows += r
+                rhs_vals += v
+                continue
             elif elem.kind == KIND_VSOURCE:
                 b = ckt.branch_dense_index(elem.name)
-                stamp = devices.stamp_vsource((idx[0], idx[1]), b, 0.0)
-                stamp = devices.StampContribution(stamp.matrix_entries, ())
+                r, c, v = devices._vsource_entries(p, m, b)
                 self.vsource_rows.append((elem, b))
             else:
                 assert elem.kind == KIND_CCCII
+                z = at(nodes[2], n)
                 b = ckt.branch_dense_index(elem.name)
                 params = devices.CcciiParams.from_netlist_params(elem.params)
-                stamp = devices.stamp_cccii_linear((idx[0], idx[1], idx[2]), b, params)
-                if params.level == 2 and idx[2] is not None:
-                    self.clamps.append((idx[2], params))
-            for r, c, v in stamp.matrix_entries:
-                self.a_static[r, c] += v
-            for r, v in stamp.rhs_entries:
-                self.rhs_static[r] += v
+                r, c, v = devices._cccii_entries(p, m, z, b, params)
+                if params.level == 2 and z != n:
+                    self.clamps.append((z, params))
+            rows += r
+            cols += c
+            vals += v
+        a = np.zeros((n + 1) * (n + 1))
+        flat = np.fromiter(rows, np.intp, len(rows)) * (n + 1)
+        flat += np.fromiter(cols, np.intp, len(cols))
+        np.add.at(a, flat, np.fromiter(vals, float, len(vals)))
+        self.a_static = a.reshape(n + 1, n + 1)[:n, :n]
+        rhs = np.zeros(n + 1)
+        np.add.at(rhs, np.fromiter(rhs_rows, np.intp, len(rhs_rows)),
+                  np.fromiter(rhs_vals, float, len(rhs_vals)))
+        self.rhs_static = rhs[:n]
 
     def rhs_at(self, t: float) -> np.ndarray:
         b = self.rhs_static.copy()

@@ -84,6 +84,15 @@ def test_run_rejects_measure_of_unknown_node_before_solving(tmp_path, capsys, mo
     assert "nosuch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node", ["nosuch", "9"])  # unknown, floating Z
+def test_run_rejects_dump_of_unknown_node_before_solving(tmp_path, capsys, monkeypatch, node):
+    path = tmp_path / "dump.cir"
+    path.write_text("V1 1 0 SIN(0 1 1k)\nX1 1 2 9 CCCII+ RX=0\nR1 2 0 1k\n.tran 20u 1m\n.end\n")
+    monkeypatch.setattr(cli, "transient", None)
+    assert main(["run", str(path), "--dump-waveform", node]) == 1
+    assert capsys.readouterr().err == f"error: no trace for node {node!r}\n"
+
+
 def test_run_syntax_error_names_line(tmp_path, capsys):
     path = tmp_path / "broken.cir"
     path.write_text("* title\nV1 1 0 DC 1\nR1 1 0 1x\n.end\n")
@@ -174,6 +183,12 @@ def test_experiment_waveform_dump(capsys):
     assert lines[0] == "time,value"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert max(values) <= 0.52  # clipped near the rail
+
+
+def test_experiment_rejects_dump_of_unknown_node_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "transient", None)
+    assert main(["experiment", "fig6", "--dump-waveform", "nosuch"]) == 1
+    assert capsys.readouterr().err == "error: no trace for node 'nosuch'\n"
 
 
 # ── sweep ───────────────────────────────────────────────────────────

@@ -75,6 +75,19 @@ def test_bad_value_error_carries_line():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e303meg"])
+def test_overflowing_value_is_non_finite(text):
+    with pytest.raises(NetlistSyntaxError, match="non-finite value") as exc:
+        parse_value(text, line=4)
+    assert exc.value.line == 4
+
+
+def test_overflowing_element_value_names_line():
+    with pytest.raises(NetlistSyntaxError, match="non-finite value") as exc:
+        parse_netlist("V1 1 0 DC 1\nR1 1 0 1e999\n.end")
+    assert exc.value.line == 2
+
+
 # ── element parsing ─────────────────────────────────────────────────
 
 
@@ -289,6 +302,17 @@ def test_measure_of_ground_and_solved_nodes_accepted():
 def test_unreachable_island_rejected():
     with pytest.raises(DanglingNodeError):
         validate(parse_netlist("R1 1 0 1k\nR2 5 6 1k\n.end"))
+
+
+def test_island_reached_only_through_conveyor_ports():
+    # nodes 3 and 4 meet the rest of the circuit only at X1's X port
+    island = "R2 3 4 1k\nR3 4 3 2k\n"
+    ckt = validate(
+        parse_netlist("V1 1 0 DC 1\nR1 2 0 1k\nX1 1 3 2 CCCII+ RX=100\n" + island + ".end")
+    )
+    assert {"3", "4"} <= set(ckt.node_index)
+    with pytest.raises(DanglingNodeError, match="3, 4"):
+        validate(parse_netlist("V1 1 0 DC 1\nR1 2 0 1k\n" + island + ".end"))
 
 
 # ── serialization and round trips ───────────────────────────────────
