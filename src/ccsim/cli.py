@@ -16,6 +16,7 @@ error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import re
 import sys
@@ -32,18 +33,7 @@ from .errors import (
     UnknownNodeError,
     UnknownParameterError,
 )
-from .experiments import (
-    AmplifierSpec,
-    CcciiParams,
-    FERRI_R1,
-    FERRI_R2,
-    FIGURE_CONFIGS,
-    calibrated_rx,
-    experiment_rows,
-    ferri_amplifier_document,
-    proposed_amplifier_document,
-    run_reproduction,
-)
+from .experiments import experiment_document, experiment_rows
 from .measure import evaluate_directive
 from .netlist import (
     GROUND,
@@ -161,31 +151,16 @@ def _run_file(args, stream) -> int:
     return 0
 
 
-def _experiment_circuit(name: str):
-    """Circuit behind a single-run experiment, for waveform dumps."""
-    if name in FIGURE_CONFIGS:
-        r1, r2, _ = FIGURE_CONFIGS[name]
-        spec = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
-        doc = proposed_amplifier_document(spec)
-    elif name == "ferri":
-        doc = ferri_amplifier_document(FERRI_R1, FERRI_R2)
-    else:
-        raise UnknownExperimentError(
-            f"experiment {name!r} has no single waveform to dump"
-        )
-    return doc, validate(doc)
-
-
 def _run_experiment(args, stream) -> int:
     if args.dump_waveform:
-        doc, circuit = _experiment_circuit(args.name)
+        doc = experiment_document(args.name)
+        circuit = validate(doc)
         _check_dump_node(circuit, args.dump_waveform)
         waveform = transient(circuit, *doc.tran().args)
         _dump_waveform(waveform, args.dump_waveform, stream)
         return 0
-    report = run_reproduction()
     rows: list[Row] = []
-    for r in experiment_rows(report, args.name):
+    for r in experiment_rows(args.name):
         rows.append((r.name, "", "", "r1", _fmt(r.r1), "ohm"))
         rows.append((r.name, "", "", "r2", _fmt(r.r2), "ohm"))
         rows.append((r.name, "", "", "level", str(r.level), ""))
@@ -246,9 +221,12 @@ def _sweep_base_document(base: str) -> tuple[str, NetlistDocument]:
     if path.exists():
         doc = _read_netlist(path)
         return doc.title or path.stem, doc
-    if base in FIGURE_CONFIGS or base == "ferri":
-        return base, _experiment_circuit(base)[0]
-    raise UnknownExperimentError(f"{base!r} is neither a netlist file nor a sweepable experiment")
+    try:
+        return base, experiment_document(base)
+    except UnknownExperimentError:
+        raise UnknownExperimentError(
+            f"{base!r} is neither a netlist file nor a sweepable experiment"
+        ) from None
 
 
 def _run_sweep(args, stream) -> int:
@@ -285,7 +263,10 @@ def _run_sweep(args, stream) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept: each parser is a
+    reference cycle that only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="ccsim",
         description="Miniature conveyor-amplifier circuit simulator",

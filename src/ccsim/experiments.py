@@ -16,7 +16,8 @@ Two circuit templates are provided:
 ideal gains for the three figure configurations, level-2 runs with R_X
 calibrated from the fig8 measurement (130 mVpp out of 100 mVpp in) and
 rails at +/-0.5 V, the three resistor-ordering tuning cases, and the
-two-conveyor comparison circuit.
+two-conveyor comparison circuit. ``experiment_rows`` builds the rows of one
+named experiment and solves only the circuits behind them.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ TABLE2_CONFIGS: dict[str, tuple[float, float]] = {
 }
 
 FERRI_R1, FERRI_R2 = 1e3, 10e3
-
-EXPERIMENT_NAMES = ("fig6", "fig7", "fig8", "table2", "ferri", "all")
 
 
 @dataclass(frozen=True)
@@ -213,90 +212,120 @@ class ReproductionReport:
         return "\n".join(lines) + "\n"
 
 
-def _run(spec: AmplifierSpec) -> Waveform:
-    return transient(build_proposed_amplifier(spec), RUN_TSTEP, RUN_TSTOP)
+def experiment_document(name: str) -> NetlistDocument:
+    """Netlist of the one circuit behind a single-run experiment: the level-2
+    figure amplifier with calibrated R_X, or the two-conveyor comparison."""
+    if name in FIGURE_CONFIGS:
+        r1, r2, _ = FIGURE_CONFIGS[name]
+        cccii = CcciiParams(level=2, rx_ohms=calibrated_rx())
+        return proposed_amplifier_document(AmplifierSpec(r1, r2, cccii=cccii))
+    if name == "ferri":
+        return ferri_amplifier_document(FERRI_R1, FERRI_R2)
+    raise UnknownExperimentError(f"experiment {name!r} has no single waveform to dump")
+
+
+def _solve(doc: NetlistDocument) -> Waveform:
+    return transient(validate(doc), *doc.tran().args)
+
+
+_RAIL_SPAN = 1.0  # vdd - vss at the default rails
+
+
+def _ideal_row(name: str) -> ReproductionRow:
+    r1, r2, _ = FIGURE_CONFIGS[name.removesuffix("_ideal")]
+    w = _solve(proposed_amplifier_document(AmplifierSpec(r1, r2)))
+    return ReproductionRow(
+        name=name,
+        r1=r1,
+        r2=r2,
+        level=1,
+        measured_vpp=vpp(w, "out"),
+        predicted_vpp=INPUT_VPP * r2 / r1,
+        note="ideal gain law",
+    )
+
+
+def _figure_row(name: str) -> ReproductionRow:
+    r1, r2, ref = FIGURE_CONFIGS[name]
+    measured = vpp(_solve(experiment_document(name)), "out")
+    return ReproductionRow(
+        name=name,
+        r1=r1,
+        r2=r2,
+        level=2,
+        measured_vpp=measured,
+        predicted_vpp=min(INPUT_VPP * r2 / (r1 + calibrated_rx()), _RAIL_SPAN),
+        reference_vpp=ref,
+        deviation=(measured - ref) / ref,
+        note="calibrated R_X, rails +/-0.5 V",
+    )
+
+
+def _table2_row(name: str) -> ReproductionRow:
+    r1, r2 = TABLE2_CONFIGS[name]
+    rx_cal = calibrated_rx()
+    case = classify_tuning(r1, r2, rx_cal)
+    spec = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=rx_cal))
+    w = _solve(proposed_amplifier_document(spec))
+    return ReproductionRow(
+        name=name,
+        r1=r1,
+        r2=r2,
+        level=2,
+        measured_vpp=vpp(w, "out"),
+        predicted_vpp=min(INPUT_VPP * case.predicted_gain, _RAIL_SPAN),
+        note=f"{case.label} {case.behavior}, simulated gain {gain_pp(w, 'in', 'out'):.4g}",
+    )
+
+
+def _ferri_row(name: str) -> ReproductionRow:
+    return ReproductionRow(
+        name=name,
+        r1=FERRI_R1,
+        r2=FERRI_R2,
+        level=1,
+        measured_vpp=vpp(_solve(experiment_document(name)), "out"),
+        predicted_vpp=INPUT_VPP * FERRI_R2 / FERRI_R1,
+        note="two conveyors, one floating Z",
+    )
+
+
+# Builder of each reproduction row, in report order.
+_ROW_BUILDERS = {
+    "fig6_ideal": _ideal_row,
+    "fig6": _figure_row,
+    "fig7_ideal": _ideal_row,
+    "fig7": _figure_row,
+    "fig8_ideal": _ideal_row,
+    "fig8": _figure_row,
+    "table2_case1": _table2_row,
+    "table2_case2": _table2_row,
+    "table2_case3": _table2_row,
+    "ferri": _ferri_row,
+}
+
+# Rows each experiment prints.
+EXPERIMENT_ROWS: dict[str, tuple[str, ...]] = {
+    "fig6": ("fig6",),
+    "fig7": ("fig7",),
+    "fig8": ("fig8",),
+    "table2": tuple(TABLE2_CONFIGS),
+    "ferri": ("ferri",),
+    "all": tuple(_ROW_BUILDERS),
+}
+
+
+def experiment_rows(name: str) -> tuple[ReproductionRow, ...]:
+    """Rows the named experiment prints, solving only their circuits; an
+    unknown name raises before anything is solved."""
+    if name not in EXPERIMENT_ROWS:
+        raise UnknownExperimentError(
+            f"unknown experiment {name!r}; pick one of {', '.join(EXPERIMENT_ROWS)}"
+        )
+    return tuple(_ROW_BUILDERS[row](row) for row in EXPERIMENT_ROWS[name])
 
 
 def run_reproduction() -> ReproductionReport:
     """Re-simulate every published operating point; every measured value
     comes from a transient run executed here."""
-    rx_cal = calibrated_rx()
-    span = 1.0  # vdd - vss at the default rails
-    rows: list[ReproductionRow] = []
-
-    for name, (r1, r2, ref) in FIGURE_CONFIGS.items():
-        ideal = AmplifierSpec(r1, r2, cccii=CcciiParams(rx_ohms=0.0))
-        w = _run(ideal)
-        rows.append(
-            ReproductionRow(
-                name=f"{name}_ideal",
-                r1=r1,
-                r2=r2,
-                level=1,
-                measured_vpp=vpp(w, "out"),
-                predicted_vpp=INPUT_VPP * r2 / r1,
-                note="ideal gain law",
-            )
-        )
-        level2 = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=rx_cal))
-        w = _run(level2)
-        measured = vpp(w, "out")
-        rows.append(
-            ReproductionRow(
-                name=name,
-                r1=r1,
-                r2=r2,
-                level=2,
-                measured_vpp=measured,
-                predicted_vpp=min(INPUT_VPP * r2 / (r1 + rx_cal), span),
-                reference_vpp=ref,
-                deviation=(measured - ref) / ref,
-                note="calibrated R_X, rails +/-0.5 V",
-            )
-        )
-
-    for name, (r1, r2) in TABLE2_CONFIGS.items():
-        case = classify_tuning(r1, r2, rx_cal)
-        spec = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=rx_cal))
-        w = _run(spec)
-        measured = vpp(w, "out")
-        simulated_gain = gain_pp(w, "in", "out")
-        rows.append(
-            ReproductionRow(
-                name=name,
-                r1=r1,
-                r2=r2,
-                level=2,
-                measured_vpp=measured,
-                predicted_vpp=min(INPUT_VPP * case.predicted_gain, span),
-                note=f"{case.label} {case.behavior}, simulated gain {simulated_gain:.4g}",
-            )
-        )
-
-    ferri = build_ferri_amplifier(FERRI_R1, FERRI_R2)
-    w = transient(ferri, RUN_TSTEP, RUN_TSTOP)
-    rows.append(
-        ReproductionRow(
-            name="ferri",
-            r1=FERRI_R1,
-            r2=FERRI_R2,
-            level=1,
-            measured_vpp=vpp(w, "out"),
-            predicted_vpp=INPUT_VPP * FERRI_R2 / FERRI_R1,
-            note="two conveyors, one floating Z",
-        )
-    )
-    return ReproductionReport(tuple(rows))
-
-
-def experiment_rows(report: ReproductionReport, name: str) -> tuple[ReproductionRow, ...]:
-    """Rows the named experiment contributes to CLI output."""
-    if name == "all":
-        return report.rows
-    if name == "table2":
-        return tuple(r for r in report.rows if r.name.startswith("table2_"))
-    if name in ("fig6", "fig7", "fig8", "ferri"):
-        return (report.row(name),)
-    raise UnknownExperimentError(
-        f"unknown experiment {name!r}; pick one of {', '.join(EXPERIMENT_NAMES)}"
-    )
+    return ReproductionReport(experiment_rows("all"))

@@ -220,12 +220,32 @@ def residual(circuit: Circuit, t: float, x: np.ndarray) -> np.ndarray:
 # ── dense solve ─────────────────────────────────────────────────────
 
 
+def _equilibrated_condition(a: np.ndarray, a_inv: np.ndarray) -> float:
+    """1-norm condition number of R A C, where the power-of-two diagonal
+    scalings R and C bring every row maximum of |A|, then every column
+    maximum, into [0.5, 1) (van der Sluis 1969; LAPACK dgeequb). MNA rows mix
+    siemens with the ohms of a conveyor's R_X, so the raw number can refuse a
+    well-posed high-impedance circuit. The inverse of R A C is
+    C^-1 A^-1 R^-1, read off A's own inverse."""
+    scaled = np.abs(a)
+    r = np.ldexp(1.0, -np.frexp(scaled.max(axis=1))[1])
+    scaled *= r[:, None]
+    c = np.ldexp(1.0, -np.frexp(scaled.max(axis=0))[1])
+    scaled *= c
+    norm = scaled.sum(axis=0).max()
+    scaled = np.abs(a_inv)
+    scaled /= c[:, None]
+    scaled /= r
+    return norm * scaled.sum(axis=0).max()
+
+
 def lu_solve(system: SystemMatrix) -> np.ndarray:
     """Solve A x = b by LAPACK; ``rhs`` may hold many columns.
 
     Raises SingularMatrixError when A is singular or its 1-norm condition
-    number reaches 1/PIVOT_RTOL (LAPACK itself stops only on an exact zero
-    pivot), and ValueError on non-finite or non-square input.
+    number reaches 1/PIVOT_RTOL both as it stands and after row and column
+    equilibration (LAPACK itself stops only on an exact zero pivot), and
+    ValueError on non-finite or non-square input.
     """
     a = np.asarray(system.matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -239,6 +259,8 @@ def lu_solve(system: SystemMatrix) -> np.ndarray:
             "singular matrix (floating node or unsolvable topology)"
         ) from None
     cond = np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max()
+    if not cond * PIVOT_RTOL < 1.0:
+        cond = _equilibrated_condition(a, a_inv)
     if not cond * PIVOT_RTOL < 1.0:
         raise SingularMatrixError(
             f"condition number {cond:.3e} too large (floating node or unsolvable topology)"

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, CSV schema, determinism, sweeps."""
 
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ccsim import cli
+from ccsim import cli, experiments
 from ccsim.cli import _csv_line, main
+from ccsim.solver import transient
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PKG_ROOT = Path(__file__).parent.parent
@@ -189,6 +191,89 @@ def test_experiment_rejects_dump_of_unknown_node_before_solving(capsys, monkeypa
     monkeypatch.setattr(cli, "transient", None)
     assert main(["experiment", "fig6", "--dump-waveform", "nosuch"]) == 1
     assert capsys.readouterr().err == "error: no trace for node 'nosuch'\n"
+
+
+def test_experiment_unknown_fails_before_solving(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved a circuit")
+
+    monkeypatch.setattr(experiments, "transient", no_solve)
+    assert main(["experiment", "fig9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown experiment 'fig9'; pick one of fig6, fig7, fig8, table2, ferri, all\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,runs", [("fig6", 1), ("fig7", 1), ("fig8", 1), ("table2", 3), ("ferri", 1), ("all", 10)]
+)
+def test_experiment_solves_only_its_own_circuits(name, runs, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transient(*args)
+
+    monkeypatch.setattr(experiments, "transient", counted)
+    assert main(["experiment", name]) == 0
+    assert len(calls) == runs
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "ferri"])
+def test_experiment_dump_is_the_row_circuit(name, capsys):
+    assert main(["experiment", name]) == 0
+    vpp_out = _metric(_rows(capsys.readouterr().out), "vpp_out")
+    assert main(["experiment", name, "--dump-waveform", "out"]) == 0
+    samples = [tuple(map(float, line.split(","))) for line in capsys.readouterr().out.split()[1:]]
+    # vpp's default window: the last two whole 1 kHz periods of the 5 ms run
+    tail = [v for t, v in samples if t >= samples[-1][0] - 2e-3 - 1e-9]
+    assert max(tail) - min(tail) == vpp_out
+
+
+# ── one parser per process ──────────────────────────────────────────
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(FIXTURES / "good" / "amp_level2.cir")],
+        ["experiment", "fig8"],
+        ["sweep", "fig8", "--param", "X1.RX", "--from", "1k", "--to", "5k", "--points", "3"],
+        ["experiment", "fig6", "--dump-waveform", "out"],
+    ],
+)
+def test_main_leaves_no_cyclic_garbage(argv, capsys):
+    # cyclic garbage is what triggers the collector's pauses; a parser built
+    # per call (ArgumentParser <-> subparsers) left 184 objects of it
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_table_format_does_not_stick(capsys):
+    assert main(["experiment", "fig8", "--format", "table"]) == 0
+    table = capsys.readouterr().out
+    assert main(["experiment", "fig8"]) == 0
+    out = capsys.readouterr().out
+    assert out != table
+    assert out.splitlines()[0] == "name,param,value,metric,result,unit"
+
+
+def test_good_call_after_usage_error(capsys):
+    assert main(["experiment", "fig8"]) == 0
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["experiment", "fig8", "--format", "xml"])
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["experiment", "fig8"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # ── sweep ───────────────────────────────────────────────────────────

@@ -207,11 +207,11 @@ def test_report_table_rendering(report):
 
 
 def test_experiment_row_selection(report):
-    assert [r.name for r in experiment_rows(report, "fig8")] == ["fig8"]
-    assert len(experiment_rows(report, "table2")) == 3
-    assert len(experiment_rows(report, "all")) == len(report.rows)
+    assert [r.name for r in experiment_rows("fig8")] == ["fig8"]
+    assert len(experiment_rows("table2")) == 3
+    assert len(experiment_rows("all")) == len(report.rows)
     with pytest.raises(UnknownExperimentError):
-        experiment_rows(report, "fig9")
+        experiment_rows("fig9")
 
 
 def test_experiment_all_matches_recorded_table(capsys):

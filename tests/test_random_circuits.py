@@ -223,3 +223,38 @@ def test_bad_resistance_declaration_rejected_by_transient(value):
     )
     with pytest.raises(NonPositiveResistanceError):
         transient(validate(doc), 1e-3, 2e-3)
+
+
+def _scaled(doc: NetlistDocument, scale: float) -> NetlistDocument:
+    """Level-1 copy of ``doc`` with every resistance, R_X included, times
+    ``scale`` and every independent current divided by it."""
+    elements = []
+    for e in doc.elements:
+        params = dict(e.params)
+        if e.kind == KIND_RESISTOR:
+            params["value"] *= scale
+        elif e.kind == KIND_ISOURCE:
+            params["dc"] /= scale
+        elif e.kind == KIND_CCCII:
+            params["level"] = 1.0
+            if "rx" in params:
+                params["rx"] *= scale
+            else:  # R_X = 1/sqrt(8 beta ib)
+                params["ib"] /= scale * scale
+        elements.append(ElementDecl(e.kind, e.name, e.nodes, params))
+    return NetlistDocument(tuple(elements), doc.directives, doc.title)
+
+
+def test_level1_solution_is_invariant_under_impedance_scaling():
+    # node voltages do not change and branch currents scale by 1/scale; the
+    # paper's amplifier spans 1 kOhm to 100 kOhm, so a singularity check that
+    # mixes siemens and ohms refuses it at the larger scales
+    for doc in _documents():
+        ref = transient(validate(_scaled(doc, 1.0)), *doc.tran().args)
+        for k in range(-6, 7):
+            scale = 10.0**k
+            w = transient(validate(_scaled(doc, scale)), *doc.tran().args)
+            assert np.abs(w.voltages - ref.voltages).max() <= 1e-9 * np.abs(ref.voltages).max()
+            assert np.abs(w.currents * scale - ref.currents).max() <= (
+                1e-9 * np.abs(ref.currents).max()
+            )

@@ -106,6 +106,20 @@ def test_lu_detects_near_singular_matrix():
         lu_solve(SystemMatrix(a, np.ones(2)))
 
 
+def test_high_impedance_amplifier_is_accepted():
+    # raw 1-norm condition number 1.0e13: siemens node rows next to the
+    # 1 MOhm R_X of the conveyor's branch row; after row/column scaling the
+    # system is well conditioned, and the gain is R2/(R1 + R_X)
+    ckt = _circuit(
+        "VIN in 0 SIN(0 50m 1k)\n"
+        "X1 in x out CCCII+ RX=1meg\n"
+        "R1 x 0 100k\n"
+        "R2 out 0 10meg"
+    )
+    w = transient(ckt, 20e-6, 5e-3)
+    assert np.abs(w.voltage("out") - w.voltage("in") * 10e6 / 1.1e6).max() <= 1e-12
+
+
 def test_lu_rejects_nonfinite():
     with pytest.raises(ValueError):
         lu_solve(SystemMatrix(np.array([[np.nan]]), np.ones(1)))
