@@ -7,17 +7,7 @@ handles the rail-clamped nonlinear model; measurement helpers extract
 peak-to-peak levels, gain, and source power.
 """
 
-from .devices import (
-    CcciiParams,
-    MosProcessParams,
-    StampContribution,
-    compute_rx,
-    eval_clamp,
-    stamp_cccii_linear,
-    stamp_isource,
-    stamp_resistor,
-    stamp_vsource,
-)
+from .devices import CcciiParams, MosProcessParams, compute_rx, eval_clamp
 from .errors import CcsimError
 from .experiments import (
     AmplifierSpec,
@@ -54,9 +44,7 @@ from .netlist import (
 from .solver import (
     NewtonOptions,
     Solution,
-    SystemMatrix,
     Waveform,
-    assemble,
     lu_solve,
     newton_solve,
     residual,
@@ -79,11 +67,8 @@ __all__ = [
     "ReproductionReport",
     "ReproductionRow",
     "Solution",
-    "StampContribution",
-    "SystemMatrix",
     "TuningCase",
     "Waveform",
-    "assemble",
     "build_ferri_amplifier",
     "build_proposed_amplifier",
     "calibrate_rx",
@@ -104,10 +89,6 @@ __all__ = [
     "run_reproduction",
     "serialize",
     "source_power",
-    "stamp_cccii_linear",
-    "stamp_isource",
-    "stamp_resistor",
-    "stamp_vsource",
     "transient",
     "validate",
     "vpp",

@@ -43,6 +43,7 @@ from .netlist import (
     KIND_VSOURCE,
     Circuit,
     NetlistDocument,
+    check_cccii_params,
     parse_netlist,
     parse_value,
     validate,
@@ -202,6 +203,7 @@ def _with_param(doc: NetlistDocument, key: str, value: float) -> NetlistDocument
                 f"conveyor {target.name} does not use {subkey.upper()}"
             )
         params = dict(target.params, **{subkey: value})
+        check_cccii_params(params)
     elif subkey:
         raise UnknownParameterError(f"{target.name} takes no sub-key {subkey!r}")
     elif target.kind == KIND_RESISTOR:

@@ -19,9 +19,8 @@ Model levels:
 
 Stamps are additive contributions to a dense MNA system whose unknowns are
 node voltages followed by branch currents. Row/column arguments are dense
-indices; in the ``stamp_*`` functions ``None`` marks an index-less node
-(ground, or a node dropped by validation) and suppresses the corresponding
-entries.
+indices; the solver passes an index-less node (ground, or a floating Z
+terminal) as a sink index whose row and column it drops after summing.
 """
 
 from __future__ import annotations
@@ -156,30 +155,11 @@ class CcciiParams:
         return params
 
 
-@dataclass(frozen=True)
-class StampContribution:
-    """Additive entries of one device: (row, col, value) and (row, value)."""
-
-    matrix_entries: tuple[tuple[int, int, float], ...] = ()
-    rhs_entries: tuple[tuple[int, float], ...] = ()
-
-
-def _keep_matrix(entries) -> tuple:
-    return tuple((r, c, v) for r, c, v in zip(*entries) if r is not None and c is not None)
-
-
-def _keep_rhs(entries) -> tuple:
-    return tuple((r, v) for r, v in zip(*entries) if r is not None)
-
-
 # ── stamp layouts ───────────────────────────────────────────────────
 #
 # Each ``_*_entries`` function is the one place that knows its device's stamp
 # layout. It returns parallel (rows, cols, vals) tuples of matrix entries, or
-# (rows, vals) of right-hand-side entries, for the indices it is given. Any
-# index may stand for an index-less node: the public ``stamp_*`` functions
-# pass ``None`` and drop those entries; the solver's triplet assembly passes
-# a sink index whose row and column it slices off after summing.
+# (rows, vals) of right-hand-side entries, for the indices it is given.
 
 
 def _resistor_entries(p, m, r: float) -> tuple[tuple, tuple, tuple]:
@@ -192,57 +172,22 @@ def _resistor_entries(p, m, r: float) -> tuple[tuple, tuple, tuple]:
 
 def _vsource_entries(p, m, branch: int) -> tuple[tuple, tuple, tuple]:
     """Incidence entries of a voltage source's branch current; its value goes
-    to the right-hand side at row ``branch``."""
-    return (p, m, branch, branch), (branch, branch, p, m), (1.0, -1.0, 1.0, -1.0)
-
-
-def _isource_entries(p, m, current: float) -> tuple[tuple, tuple]:
-    """Right-hand-side entries of a current source driving p -> m."""
-    return (p, m), (-current, current)
-
-
-def _cccii_entries(y, x, z, branch: int, params: CcciiParams) -> tuple[tuple, tuple, tuple]:
-    """Linear conveyor entries; see ``stamp_cccii_linear`` for the rows."""
-    return (
-        (branch, branch, branch, x, z),
-        (x, y, branch, branch, branch),
-        (1.0, -1.0, -params.resolve_rx(), 1.0, float(params.polarity)),
-    )
-
-
-def stamp_resistor(nodes: tuple[int | None, int | None], r: float) -> StampContribution:
-    """Conductance stamp of a two-terminal resistor."""
-    return StampContribution(matrix_entries=_keep_matrix(_resistor_entries(*nodes, r)))
-
-
-def stamp_vsource(
-    nodes: tuple[int | None, int | None], branch: int, value_at_t: float
-) -> StampContribution:
-    """Branch stamp of an independent voltage source.
+    to the right-hand side at row ``branch``.
 
     The branch current is taken positive flowing into the + terminal and out
     of the - terminal (passive convention), so a source delivering power
     carries a negative branch current.
     """
-    return StampContribution(
-        matrix_entries=_keep_matrix(_vsource_entries(*nodes, branch)),
-        rhs_entries=((branch, value_at_t),),
-    )
+    return (p, m, branch, branch), (branch, branch, p, m), (1.0, -1.0, 1.0, -1.0)
 
 
-def stamp_isource(
-    nodes: tuple[int | None, int | None], current: float
-) -> StampContribution:
-    """RHS stamp of an independent current source driving ``current`` amps
-    from the + node through itself into the - node."""
-    return StampContribution(rhs_entries=_keep_rhs(_isource_entries(*nodes, current)))
+def _isource_entries(p, m, current: float) -> tuple[tuple, tuple]:
+    """Right-hand-side entries of a current source driving ``current`` amps
+    from the + node p through itself into the - node m."""
+    return (p, m), (-current, current)
 
 
-def stamp_cccii_linear(
-    nodes: tuple[int | None, int | None, int | None],
-    branch: int,
-    params: CcciiParams,
-) -> StampContribution:
+def _cccii_entries(y, x, z, branch: int, params: CcciiParams) -> tuple[tuple, tuple, tuple]:
     """Linear part of the conveyor stamp.
 
     ``branch`` carries the X-port current i_x (positive from node X into the
@@ -253,7 +198,11 @@ def stamp_cccii_linear(
         node Y:  nothing (I_Y = 0 structurally)
         node Z:  +sigma * i_x enters the device
     """
-    return StampContribution(matrix_entries=_keep_matrix(_cccii_entries(*nodes, branch, params)))
+    return (
+        (branch, branch, branch, x, z),
+        (x, y, branch, branch, branch),
+        (1.0, -1.0, -params.resolve_rx(), 1.0, float(params.polarity)),
+    )
 
 
 def eval_clamp(v_z: float | np.ndarray, params: CcciiParams) -> tuple:

@@ -233,6 +233,16 @@ def _parse_cccii(name, tokens, line) -> ElementDecl:
         if not sep or key.lower() not in _CCCII_KEYS:
             raise NetlistSyntaxError(f"bad conveyor parameter {tok!r}", line)
         params[key.lower()] = parse_value(raw, line)
+    if "ib" not in params:
+        params.setdefault("rx", 0.0)
+    check_cccii_params(params, line)
+    return ElementDecl(KIND_CCCII, name, nodes, params)
+
+
+def check_cccii_params(params: dict[str, float], line: int | None = None) -> None:
+    """Raise NetlistSyntaxError unless ``params`` is a valid conveyor
+    parameter map: the one home of the checks, for parsed lines and for
+    swept values alike."""
     if "rx" in params and "ib" in params:
         raise NetlistSyntaxError("RX and IB are mutually exclusive", line)
     if ("ib" in params) != ("beta" in params):
@@ -242,15 +252,12 @@ def _parse_cccii(name, tokens, line) -> ElementDecl:
             raise NetlistSyntaxError("IB must be positive", line)
         if not params["beta"] > 0:
             raise NetlistSyntaxError("BETA must be positive", line)
-    else:
-        params.setdefault("rx", 0.0)
-        if params["rx"] < 0:
-            raise NetlistSyntaxError("RX must be non-negative", line)
+    elif params["rx"] < 0:
+        raise NetlistSyntaxError("RX must be non-negative", line)
     if params["level"] not in (1.0, 2.0):
         raise NetlistSyntaxError("LEVEL must be 1 or 2", line)
     if not params["vdd"] > params["vss"]:
         raise NetlistSyntaxError("VDD must exceed VSS", line)
-    return ElementDecl(KIND_CCCII, name, nodes, params)
 
 
 _ELEMENT_PARSERS = {

@@ -16,7 +16,7 @@ other. ``.op`` is the case of one timepoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,23 +35,10 @@ from .netlist import (
 PIVOT_RTOL = 1e-13  # reciprocal of the largest accepted 1-norm condition number
 
 
-@dataclass
-class SystemMatrix:
-    """Dense linear(ized) MNA system A x = b."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.rhs.shape[0]
-
-
 @dataclass(frozen=True)
 class NewtonOptions:
     abs_tol: float = 1e-9
     max_iter: int = 50
-    damping: bool = True
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -107,8 +94,8 @@ class Waveform:
     def solution_at(self, index: int) -> Solution:
         return Solution(
             time=float(self.times[index]),
-            voltages=dict(zip(self.node_order, self.voltages[index])),
-            currents=dict(zip(self.branch_order, self.currents[index])),
+            voltages=dict(zip(self.node_order, self.voltages[index].tolist())),
+            currents=dict(zip(self.branch_order, self.currents[index].tolist())),
             vector=np.concatenate([self.voltages[index], self.currents[index]]),
         )
 
@@ -121,28 +108,22 @@ def source_value(elem: ElementDecl, t: float | np.ndarray) -> float | np.ndarray
     return p["offset"] + p["amplitude"] * np.sin(2.0 * np.pi * p["freq"] * t)
 
 
-@dataclass
 class _Assembly:
-    """Precomputed static stamps plus hooks for time and state dependence."""
+    """Static MNA matrix and right-hand side of a circuit, the voltage-source
+    branch rows ``vsource_rows`` as (element, row) pairs, and the clamped Z
+    rows ``clamps`` as (row, CcciiParams) pairs."""
 
-    circuit: Circuit
-    a_static: np.ndarray = field(init=False)
-    rhs_static: np.ndarray = field(init=False)
-    vsource_rows: list = field(init=False)  # (element, branch row)
-    clamps: list = field(init=False)  # (z row, CcciiParams)
-
-    def __post_init__(self):
+    def __init__(self, circuit: Circuit):
         # Triplet assembly: one pass collects every device's (row, col, value)
         # entries, ground and floating Z terminals sent to a sink index n
         # whose row and column are sliced off; then one scatter sums them in
         # declaration order, so each cell gets the bits of stamping in turn.
-        ckt = self.circuit
-        n = ckt.size
-        at = ckt.node_index.get
+        n = circuit.size
+        at = circuit.node_index.get
         rows, cols, vals, rhs_rows, rhs_vals = [], [], [], [], []
         self.vsource_rows = []
         self.clamps = []
-        for elem in ckt.elements:
+        for elem in circuit.elements:
             nodes = elem.nodes
             p, m = at(nodes[0], n), at(nodes[1], n)
             if elem.kind == KIND_RESISTOR:
@@ -153,13 +134,13 @@ class _Assembly:
                 rhs_vals += v
                 continue
             elif elem.kind == KIND_VSOURCE:
-                b = ckt.branch_dense_index(elem.name)
+                b = circuit.branch_dense_index(elem.name)
                 r, c, v = devices._vsource_entries(p, m, b)
                 self.vsource_rows.append((elem, b))
             else:
                 assert elem.kind == KIND_CCCII
                 z = at(nodes[2], n)
-                b = ckt.branch_dense_index(elem.name)
+                b = circuit.branch_dense_index(elem.name)
                 params = devices.CcciiParams.from_netlist_params(elem.params)
                 r, c, v = devices._cccii_entries(p, m, z, b, params)
                 if params.level == 2 and z != n:
@@ -183,33 +164,11 @@ class _Assembly:
             b[row] += source_value(elem, t)
         return b
 
-    def system(self, t: float, guess: np.ndarray | None) -> SystemMatrix:
-        a = self.a_static.copy()
-        b = self.rhs_at(t)
-        if guess is None:
-            guess = np.zeros(self.circuit.size)
-        for row, params in self.clamps:
-            v0 = guess[row]
-            i0, g0 = devices.eval_clamp(v0, params)
-            a[row, row] += g0
-            b[row] += g0 * v0 - i0
-        return SystemMatrix(a, b)
-
     def residual_vector(self, t: float, x: np.ndarray) -> np.ndarray:
         f = self.a_static @ x - self.rhs_at(t)
         for row, params in self.clamps:
             f[row] += devices.eval_clamp(x[row], params)[0]
         return f
-
-
-def assemble(
-    circuit: Circuit, t: float = 0.0, guess: Solution | np.ndarray | None = None
-) -> SystemMatrix:
-    """Sum all device stamps at time ``t``, linearizing rail clamps about
-    ``guess`` (zeros when omitted)."""
-    if isinstance(guess, Solution):
-        guess = guess.vector
-    return _Assembly(circuit).system(t, guess)
 
 
 def residual(circuit: Circuit, t: float, x: np.ndarray) -> np.ndarray:
@@ -239,15 +198,15 @@ def _equilibrated_condition(a: np.ndarray, a_inv: np.ndarray) -> float:
     return norm * scaled.sum(axis=0).max()
 
 
-def lu_solve(system: SystemMatrix) -> np.ndarray:
-    """Solve A x = b by LAPACK; ``rhs`` may hold many columns.
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by LAPACK; ``b`` may hold many columns.
 
     Raises SingularMatrixError when A is singular or its 1-norm condition
     number reaches 1/PIVOT_RTOL both as it stands and after row and column
     equilibration (LAPACK itself stops only on an exact zero pivot), and
     ValueError on non-finite or non-square input.
     """
-    a = np.asarray(system.matrix, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
     if not np.all(np.isfinite(a)):
@@ -265,23 +224,10 @@ def lu_solve(system: SystemMatrix) -> np.ndarray:
         raise SingularMatrixError(
             f"condition number {cond:.3e} too large (floating node or unsolvable topology)"
         )
-    return a_inv @ system.rhs
+    return a_inv @ b
 
 
 # ── port-reduced Newton over all timepoints ─────────────────────────
-
-_MAX_HALVINGS = 8
-
-
-def _labelled(circuit: Circuit, t: float, x: np.ndarray) -> Solution:
-    n = circuit.n_nodes
-    labels = circuit.unknown_labels()
-    return Solution(
-        time=t,
-        voltages={lbl: float(x[i]) for i, lbl in enumerate(labels[:n])},
-        currents={lbl: float(x[n + i]) for i, lbl in enumerate(labels[n:])},
-        vector=x,
-    )
 
 
 def _clamp_currents(clamps: list, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +268,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
 
         v - v_lin + S c(v) = 0,     x = x_lin - M c(v),
 
-    solved by damped Newton on all timepoints at once. Newton starts from one
+    solved by Newton on all timepoints at once. Newton starts from one
     Gauss-Seidel sweep in declaration order: port j takes the exact root of
     v_j + S_jj c_j(v_j) = v_lin_j - sum_{i<j} S_ji c_i, so a single clamp or a
     cascade of clamps in declaration order (S_ji = 0 for i > j) starts at its
@@ -330,7 +276,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     (zero elsewhere); a point has converged when it is at most ``abs_tol`` on
     every row.
     """
-    size = asm.circuit.size
+    size = len(asm.rhs_static)
     if size == 0:
         return np.zeros((len(times), 0))
     # one solve against [b_static | unit columns of the source rows | E]
@@ -339,7 +285,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     columns = np.zeros((size, 1 + len(drives) + len(z)))
     columns[:, 0] = asm.rhs_static
     columns[drives + z, np.arange(1, columns.shape[1])] = 1.0
-    solved = lu_solve(SystemMatrix(asm.a_static, columns))
+    solved = lu_solve(asm.a_static, columns)
     x = np.tile(solved[:, 0], (len(times), 1))  # x_lin by superposition
     for j, (elem, _) in enumerate(asm.vsource_rows, start=1):
         x += np.multiply.outer(source_value(elem, times), solved[:, j])
@@ -355,11 +301,6 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
         x_z = v_lin[lanes] - _mix(i, s)
         return np.abs(_clamp_currents(asm.clamps, x_z)[0] - i).max(axis=1)
 
-    def evaluate(lanes, v):
-        """Clamp currents and conductances at v, and the full residual."""
-        i, g = _clamp_currents(asm.clamps, v)
-        return i, g, misfit(lanes, i)
-
     # one Gauss-Seidel sweep of exact port roots; u[:, j] collects the
     # currents predicted for the ports before j
     u = v_lin.copy()
@@ -369,23 +310,15 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
         i[:, j], g[:, j] = devices.eval_clamp(v[:, j], params)
         u[:, j + 1:] -= np.multiply.outer(i[:, j], s[j + 1:, j])
     r = misfit(slice(None), i)
-    # written ~(a <= b) so that a NaN residual counts as unconverged and worse
+    # written ~(r <= tol) so that a NaN residual counts as unconverged
     active = np.flatnonzero(~(r <= opts.abs_tol))
     for _ in range(opts.max_iter):
         if not active.size:
             break
         va = v[active]
-        step = _port_step(s, g[active], va - v_lin[active] + _mix(i[active], s))
-        v_new = va + step
-        i_new, g_new, r_new = evaluate(active, v_new)
-        worse = np.flatnonzero(~(r_new <= r[active]) if opts.damping else [])
-        for _ in range(_MAX_HALVINGS):
-            if not worse.size:
-                break
-            step[worse] *= 0.5
-            v_new[worse] = va[worse] + step[worse]
-            i_new[worse], g_new[worse], r_new[worse] = evaluate(active[worse], v_new[worse])
-            worse = worse[~(r_new[worse] <= r[active[worse]])]
+        v_new = va + _port_step(s, g[active], va - v_lin[active] + _mix(i[active], s))
+        i_new, g_new = _clamp_currents(asm.clamps, v_new)
+        r_new = misfit(active, i_new)
         v[active], i[active], g[active], r[active] = v_new, i_new, g_new, r_new
         active = active[~(r_new <= opts.abs_tol)]
     if active.size:
@@ -401,15 +334,14 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
 def newton_solve(
     circuit: Circuit, t: float = 0.0, opts: NewtonOptions | None = None
 ) -> Solution:
-    """Solve the operating point at time ``t``.
+    """Solve the operating point at time ``t``: the one-point waveform.
 
     Purely linear circuits take one LAPACK solve and no Newton step;
     level-2 conveyor clamps start at the exact root of their port equations
-    and are iterated, with step-halving damping, only where clamp ports are
-    coupled both ways (see ``_solve_points``).
+    and are iterated only where clamp ports are coupled both ways (see
+    ``_solve_points``).
     """
-    x = _solve_points(_Assembly(circuit), np.array([float(t)]), opts or NewtonOptions())
-    return _labelled(circuit, t, x[0])
+    return _waveform(circuit, np.array([float(t)]), opts).solution_at(0)
 
 
 # ── transient sweep ─────────────────────────────────────────────────
@@ -428,6 +360,11 @@ def transient(
     ValueError for a grid that ``.tran`` would reject (``tran_step_count``).
     """
     times = np.arange(tran_step_count(tstep, tstop) + 1) * tstep
+    return _waveform(circuit, times, opts)
+
+
+def _waveform(circuit: Circuit, times: np.ndarray, opts: NewtonOptions | None) -> Waveform:
+    """Solutions and source power at each time in ``times``."""
     states = _solve_points(_Assembly(circuit), times, opts or NewtonOptions())
 
     n = circuit.n_nodes

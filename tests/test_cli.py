@@ -348,6 +348,32 @@ def test_sweep_needs_two_points(capsys):
     ]) == 1
 
 
+def test_sweep_rejects_crossed_rails(capsys):
+    # the swept conveyor values meet the parser's checks, not a traceback
+    assert main([
+        "sweep", "fig8", "--param", "X1.VDD",
+        "--from", "-2", "--to", "1", "--points", "3",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: VDD must exceed VSS\n"
+
+
+def test_sweep_rejects_zero_beta(tmp_path, capsys):
+    path = tmp_path / "bias.cir"
+    path.write_text(
+        "VIN in 0 SIN(0 50m 1k)\n"
+        "X1 in x out CCCII+ IB=50u BETA=1m LEVEL=2\n"
+        "R1 x 0 8k\nR2 out 0 15k\n"
+        ".tran 20u 2m\n.measure gain(in,out)\n.end\n"
+    )
+    assert main([
+        "sweep", str(path), "--param", "X1.BETA",
+        "--from", "0", "--to", "1m", "--points", "3",
+    ]) == 1
+    assert capsys.readouterr().err == "error: BETA must be positive\n"
+
+
 def test_sweep_rejects_unknown_base(capsys):
     assert main([
         "sweep", "table2", "--param", "R2",

@@ -3,9 +3,10 @@
 The generator draws solvable circuits from all four element kinds, with
 ground and floating-Z terminals, parallel elements on one node pair and
 conveyors whose X and Z ports share a node. Each circuit is checked against
-the public ``stamp_*`` functions summed in declaration order (the reference
-the triplet assembly must match bit for bit), the serialize/parse round trip
-and the KCL/branch residual at every transient point.
+the devices' ``_*_entries`` stamp layouts summed in declaration order (the
+reference the triplet assembly must match bit for bit), the serialize/parse
+round trip, the KCL/branch residual at every transient point and ``.op``
+against the first ``.tran`` point.
 
 Solvability by construction: every node has a resistor of at most 1 kOhm to
 ground (conductance matrix >= 1e-3 * I), voltage sources have distinct +
@@ -21,11 +22,10 @@ import pytest
 
 from ccsim.devices import (
     CcciiParams,
-    StampContribution,
-    stamp_cccii_linear,
-    stamp_isource,
-    stamp_resistor,
-    stamp_vsource,
+    _cccii_entries,
+    _isource_entries,
+    _resistor_entries,
+    _vsource_entries,
 )
 from ccsim.errors import NonPositiveResistanceError
 from ccsim.netlist import (
@@ -41,7 +41,7 @@ from ccsim.netlist import (
     serialize,
     validate,
 )
-from ccsim.solver import _Assembly, residual, transient
+from ccsim.solver import _Assembly, newton_solve, residual, transient
 
 N_CIRCUITS = 60
 
@@ -130,7 +130,8 @@ def _documents():
 
 
 def _stamped(circuit):
-    """Static matrix and RHS as the declaration-order sum of public stamps.
+    """Static matrix and RHS as the declaration-order sum of the device
+    stamps, entry by entry, skipping entries on index-less nodes.
 
     Voltage-source values are time-dependent and stay out of the static RHS.
     """
@@ -138,21 +139,22 @@ def _stamped(circuit):
     a, b = np.zeros((n, n)), np.zeros(n)
     for elem in circuit.elements:
         idx = tuple(circuit.dense_index(lbl) for lbl in elem.nodes)
+        if elem.kind == KIND_ISOURCE:
+            for r, v in zip(*_isource_entries(*idx, elem.params["dc"])):
+                if r is not None:
+                    b[r] += v
+            continue
         if elem.kind == KIND_RESISTOR:
-            stamp = stamp_resistor(idx, elem.params["value"])
-        elif elem.kind == KIND_ISOURCE:
-            stamp = stamp_isource(idx, elem.params["dc"])
+            entries = _resistor_entries(*idx, elem.params["value"])
         elif elem.kind == KIND_VSOURCE:
-            branch = circuit.branch_dense_index(elem.name)
-            stamp = StampContribution(stamp_vsource(idx, branch, 0.0).matrix_entries)
+            entries = _vsource_entries(*idx, circuit.branch_dense_index(elem.name))
         else:
             branch = circuit.branch_dense_index(elem.name)
             params = CcciiParams.from_netlist_params(elem.params)
-            stamp = stamp_cccii_linear(idx, branch, params)
-        for r, c, v in stamp.matrix_entries:
-            a[r, c] += v
-        for r, v in stamp.rhs_entries:
-            b[r] += v
+            entries = _cccii_entries(*idx, branch, params)
+        for r, c, v in zip(*entries):
+            if r is not None and c is not None:
+                a[r, c] += v
     return a, b
 
 
@@ -211,6 +213,14 @@ def test_kcl_residual_at_every_transient_point():
         for j, t in enumerate(w.times):
             x = np.concatenate([w.voltages[j], w.currents[j]])
             assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
+
+
+def test_op_equals_first_transient_point():
+    # .op is the one-point case of .tran: the same bits at t = 0
+    for doc in _documents():
+        ckt = validate(doc)
+        op = newton_solve(ckt).vector
+        assert np.array_equal(op, transient(ckt, *doc.tran().args).solution_at(0).vector)
 
 
 @pytest.mark.parametrize("value", [0.0, -1e3, math.inf, math.nan])
