@@ -41,6 +41,7 @@ from .netlist import (
     KIND_ISOURCE,
     KIND_RESISTOR,
     KIND_VSOURCE,
+    MAX_TRAN_POINTS,
     Circuit,
     NetlistDocument,
     check_cccii_params,
@@ -237,6 +238,9 @@ def _run_sweep(args, stream) -> int:
         return 1
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
+        return 1
+    if args.points > MAX_TRAN_POINTS:
+        print(f"error: --points must be at most {MAX_TRAN_POINTS}", file=sys.stderr)
         return 1
     name, doc = _sweep_base_document(args.base)
     if doc.tran() is None:

@@ -179,27 +179,30 @@ def residual(circuit: Circuit, t: float, x: np.ndarray) -> np.ndarray:
 # ── dense solve ─────────────────────────────────────────────────────
 
 
-def _equilibrated_condition(a: np.ndarray, a_inv: np.ndarray) -> float:
+def _equilibrated_condition(a: np.ndarray, abs_inv: np.ndarray) -> float:
     """1-norm condition number of R A C, where the power-of-two diagonal
     scalings R and C bring every row maximum of |A|, then every column
     maximum, into [0.5, 1) (van der Sluis 1969; LAPACK dgeequb). MNA rows mix
     siemens with the ohms of a conveyor's R_X, so the raw number can refuse a
     well-posed high-impedance circuit. The inverse of R A C is
-    C^-1 A^-1 R^-1, read off A's own inverse."""
+    C^-1 A^-1 R^-1, read off |A^-1|, ``abs_inv``, which is scaled in place."""
     scaled = np.abs(a)
     r = np.ldexp(1.0, -np.frexp(scaled.max(axis=1))[1])
     scaled *= r[:, None]
     c = np.ldexp(1.0, -np.frexp(scaled.max(axis=0))[1])
     scaled *= c
     norm = scaled.sum(axis=0).max()
-    scaled = np.abs(a_inv)
-    scaled /= c[:, None]
-    scaled /= r
-    return norm * scaled.sum(axis=0).max()
+    abs_inv /= c[:, None]
+    abs_inv /= r
+    return norm * abs_inv.sum(axis=0).max()
 
 
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by LAPACK; ``b`` may hold many columns.
+
+    Leaves ``a`` and ``b`` unchanged. Beside the result it holds one n x n
+    array, the inverse, whose magnitudes then overwrite it; only a refused
+    raw condition number adds |A| for the equilibrated recheck.
 
     Raises SingularMatrixError when A is singular or its 1-norm condition
     number reaches 1/PIVOT_RTOL both as it stands and after row and column
@@ -211,20 +214,23 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square and non-empty")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    a_norm = np.abs(a).sum(axis=0).max()
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(
             "singular matrix (floating node or unsolvable topology)"
         ) from None
-    cond = np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max()
+    x = a_inv @ b
+    abs_inv = np.abs(a_inv, out=a_inv)  # the inverse is not needed past x
+    cond = a_norm * abs_inv.sum(axis=0).max()
     if not cond * PIVOT_RTOL < 1.0:
-        cond = _equilibrated_condition(a, a_inv)
+        cond = _equilibrated_condition(a, abs_inv)
     if not cond * PIVOT_RTOL < 1.0:
         raise SingularMatrixError(
             f"condition number {cond:.3e} too large (floating node or unsolvable topology)"
         )
-    return a_inv @ b
+    return x
 
 
 # ── port-reduced Newton over all timepoints ─────────────────────────
@@ -286,9 +292,19 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     columns[:, 0] = asm.rhs_static
     columns[drives + z, np.arange(1, columns.shape[1])] = 1.0
     solved = lu_solve(asm.a_static, columns)
-    x = np.tile(solved[:, 0], (len(times), 1))  # x_lin by superposition
+    # x_lin by superposition, summed in declaration order into one array: a
+    # single row until the first time-varying term, which then holds the sum
+    # (IEEE addition commutes, so term + x has the bits of x + term)
+    x = solved[:, 0]
     for j, (elem, _) in enumerate(asm.vsource_rows, start=1):
-        x += np.multiply.outer(source_value(elem, times), solved[:, j])
+        term = np.multiply.outer(source_value(elem, times), solved[:, j])
+        if x.ndim == 2:
+            x += term
+        else:
+            term += x
+            x = term
+    if x.ndim == 1:
+        x = np.tile(x, (len(times), 1))
     if not z:
         return x
 
@@ -328,7 +344,8 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
             residual=float(r[first]),
             time=float(times[first]),
         )
-    return x - _mix(i, m)
+    x -= _mix(i, m)
+    return x
 
 
 def newton_solve(

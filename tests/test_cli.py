@@ -12,6 +12,7 @@ import pytest
 
 from ccsim import cli, experiments
 from ccsim.cli import _csv_line, main
+from ccsim.netlist import MAX_TRAN_POINTS
 from ccsim.solver import transient
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -346,6 +347,17 @@ def test_sweep_needs_two_points(capsys):
         "sweep", str(AMP_IDEAL), "--param", "R2",
         "--from", "1", "--to", "2", "--points", "1",
     ]) == 1
+
+
+@pytest.mark.parametrize("points", [MAX_TRAN_POINTS + 1, 10**12])
+def test_sweep_rejects_oversized_grid_before_allocating(points, capsys):
+    assert main([
+        "sweep", "fig8", "--param", "R2",
+        "--from", "1k", "--to", "2k", "--points", str(points),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --points must be at most {MAX_TRAN_POINTS}\n"
 
 
 def test_sweep_rejects_crossed_rails(capsys):

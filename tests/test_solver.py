@@ -5,6 +5,8 @@ ladder reduction for resistive networks, superposition and scaling identities
 for linear circuits.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,49 @@ def test_lu_detects_floating_network():
 def test_lu_detects_near_singular_matrix():
     # LAPACK factors this without a zero pivot; the condition check refuses it
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=r"condition number 3\.603e\+15 too large"):
         lu_solve(a, np.ones(2))
+
+
+def test_lu_refusal_after_equilibration_names_the_scaled_condition():
+    # raw 1-norm condition number 2.0e26; equilibration brings it down to
+    # 5.665e14, still past 1/PIVOT_RTOL, and the message gives that number
+    a = np.array([[1e-6, 1e-6], [1e6, 1e6 * (1 + 1e-14)]])
+    with pytest.raises(SingularMatrixError, match=r"condition number 5\.665e\+14 too large"):
+        lu_solve(a, np.ones(2))
+
+
+def test_lu_leaves_inputs_unchanged_and_matches_inverse_product():
+    rng = np.random.default_rng(7)
+    cases = [_Assembly(_circuit(LEVEL2_AMP)).a_static]  # mixed units, a strided view
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        cases.append(rng.standard_normal((n, n)) + n * np.eye(n))
+    for a in cases:
+        n = len(a)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, int(rng.integers(1, 5))))):
+            a_before, b_before = a.copy(), b.copy()
+            x = lu_solve(a, b)
+            assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+            assert np.array_equal(x, np.linalg.inv(a) @ b)
+
+
+def _peak_bytes(fn, *args) -> int:
+    """tracemalloc's peak over one call: the arrays it holds at once."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lu_holds_one_inverse():
+    # A^-1 is the only n x n array lu_solve allocates: |A^-1| is taken in place
+    n = 300
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
+    assert _peak_bytes(lu_solve, a, b) <= 1.5 * 8 * n * n
 
 
 def test_high_impedance_amplifier_is_accepted():
@@ -310,6 +353,50 @@ def test_superposition_of_independent_sources():
     xi = newton_solve(only_i).vector
     assert np.abs(xb - (xv + xi)).max() <= 1e-9 * max(1.0, np.abs(xb).max())
     assert newton_solve(both).voltages["2"] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dc_at", [0, 1, 2])
+def test_superposition_sums_sources_in_declaration_order(dc_at):
+    # the reference sum: the static column tiled over the grid, then each
+    # source's term added in declaration order
+    sins = ["SIN(0.1 0.7 1k)", "SIN(-0.2 0.4 3k)"]
+    values = sins[:dc_at] + ["DC 0.3"] + sins[dc_at:]
+    ckt = _circuit(
+        "".join(f"V{j} s{j} 0 {v}\nR{j} s{j} m {1 + j}k\n" for j, v in enumerate(values))
+        + "RM m 0 2k\nI1 0 m DC 1m"
+    )
+    asm = _Assembly(ckt)
+    drives = [row for _, row in asm.vsource_rows]
+    columns = np.zeros((ckt.size, 1 + len(drives)))
+    columns[:, 0] = asm.rhs_static
+    columns[drives, np.arange(1, columns.shape[1])] = 1.0
+    solved = lu_solve(asm.a_static, columns)
+    w = transient(ckt, 2e-5, 2e-3)
+    expected = np.tile(solved[:, 0], (len(w.times), 1))
+    for j, (elem, _) in enumerate(asm.vsource_rows, start=1):
+        expected += np.multiply.outer(source_value(elem, w.times), solved[:, j])
+    assert np.array_equal(np.concatenate([w.voltages, w.currents], axis=1), expected)
+
+
+def _ladder(sections: int, conveyor: bool):
+    lines, prev = ["VIN in 0 SIN(0 1 1k)"], "in"
+    for k in range(1, sections + 1):
+        lines += [f"RS{k} {prev} n{k} 50", f"RP{k} n{k} 0 200k"]
+        prev = f"n{k}"
+    if conveyor:  # gain 50 on a ~1 V input: clipped at the 0.5 V rails
+        lines += [f"X1 {prev} x out CCCII+ RX=1k LEVEL=2", "R1 x 0 1k", "R2 out 0 100k"]
+    return _circuit("\n".join(lines))
+
+
+@pytest.mark.parametrize("conveyor, bound", [(False, 1.5), (True, 2.6)])
+def test_transient_holds_one_state_array(conveyor, bound):
+    # a linear solve holds one (T, n) state beside arrays of n or T floats;
+    # the clamp-port correction of a clamped one holds a second
+    ckt = _ladder(100, conveyor)
+    points = 2001
+    assert _peak_bytes(transient, ckt, 1e-6, 2e-3) <= bound * 8 * points * ckt.size
+    if conveyor:
+        assert np.abs(transient(ckt, 1e-4, 2e-3).voltage("out")).max() > 0.45
 
 
 def _power_balance_gap(ckt, w) -> float:
