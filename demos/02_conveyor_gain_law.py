@@ -12,11 +12,9 @@ import numpy as np
 
 from ccsim import (
     AmplifierSpec,
-    CcciiParams,
-    MosProcessParams,
     build_proposed_amplifier,
     classify_tuning,
-    compute_rx,
+    conveyor_rx,
     gain_pp,
     transient,
 )
@@ -30,14 +28,13 @@ def simulated_gain(r1, r2, cccii):
 
 print("ideal conveyor: gain tracks R2/R1")
 for r1, r2 in ((1e3, 100e3), (2e3, 50e3), (8e3, 15e3)):
-    g = simulated_gain(r1, r2, CcciiParams(rx_ohms=0.0))
+    g = simulated_gain(r1, r2, {})
     print(f"  R1={r1:>6.0f}  R2={r2:>7.0f}  gain={g:8.3f}  (R2/R1 = {r2 / r1:.3f})")
 
 print("\nbias current tunes R_X = 1/sqrt(8*beta*IB), hence the gain")
-process = MosProcessParams.from_beta(1e-3)
 for ib in np.geomspace(10e-6, 1e-3, 5):
-    rx = compute_rx(process, float(ib))
-    cccii = CcciiParams(rx_ohms=None, i_b=float(ib), process=process)
+    cccii = {"ib": float(ib), "beta": 1e-3}
+    rx = conveyor_rx(cccii)
     g = simulated_gain(8e3, 15e3, cccii)
     print(f"  IB={ib * 1e6:7.1f} uA  R_X={rx:8.1f} ohm  gain={g:.4f}"
           f"  (closed form {15e3 / (8e3 + rx):.4f})")

@@ -9,7 +9,6 @@ Run with:  python demos/04_clipping_and_power.py
 
 from ccsim import (
     AmplifierSpec,
-    CcciiParams,
     build_proposed_amplifier,
     calibrated_rx,
     source_power,
@@ -17,7 +16,7 @@ from ccsim import (
     vpp,
 )
 
-spec = AmplifierSpec(1e3, 100e3, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
+spec = AmplifierSpec(1e3, 100e3, cccii={"level": 2.0, "rx": calibrated_rx()})
 waveform = transient(build_proposed_amplifier(spec), 20e-6, 5e-3)
 
 print(f"input  vpp: {vpp(waveform, 'in') * 1e3:7.2f} mV")

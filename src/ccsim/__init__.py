@@ -7,7 +7,7 @@ handles the rail-clamped nonlinear model; measurement helpers extract
 peak-to-peak levels, gain, and source power.
 """
 
-from .devices import CcciiParams, MosProcessParams, compute_rx, eval_clamp
+from .devices import conveyor_rx, eval_clamp
 from .errors import CcsimError
 from .experiments import (
     AmplifierSpec,
@@ -55,13 +55,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplifierSpec",
-    "CcciiParams",
     "CcsimError",
     "Circuit",
     "Directive",
     "ElementDecl",
     "Measurement",
-    "MosProcessParams",
     "NetlistDocument",
     "NewtonOptions",
     "ReproductionReport",
@@ -74,7 +72,7 @@ __all__ = [
     "calibrate_rx",
     "calibrated_rx",
     "classify_tuning",
-    "compute_rx",
+    "conveyor_rx",
     "default_window",
     "eval_clamp",
     "evaluate_directive",

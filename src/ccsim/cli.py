@@ -44,7 +44,7 @@ from .netlist import (
     MAX_TRAN_POINTS,
     Circuit,
     NetlistDocument,
-    check_cccii_params,
+    conveyor_params,
     parse_netlist,
     parse_value,
     validate,
@@ -203,8 +203,7 @@ def _with_param(doc: NetlistDocument, key: str, value: float) -> NetlistDocument
             raise UnknownParameterError(
                 f"conveyor {target.name} does not use {subkey.upper()}"
             )
-        params = dict(target.params, **{subkey: value})
-        check_cccii_params(params)
+        params = conveyor_params(dict(target.params, **{subkey: value}))
     elif subkey:
         raise UnknownParameterError(f"{target.name} takes no sub-key {subkey!r}")
     elif target.kind == KIND_RESISTOR:

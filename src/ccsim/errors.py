@@ -63,11 +63,6 @@ class NoGroundReferenceError(ValidationError):
 # ── devices ─────────────────────────────────────────────────────────
 
 
-class NonPositiveBiasError(CcsimError):
-    """Bias current must be strictly positive to define an intrinsic
-    resistance."""
-
-
 class NonPositiveResistanceError(CcsimError):
     """Resistances must be strictly positive (conveyor RX may be zero)."""
 

@@ -18,13 +18,17 @@ calibrated from the fig8 measurement (130 mVpp out of 100 mVpp in) and
 rails at +/-0.5 V, the three resistor-ordering tuning cases, and the
 two-conveyor comparison circuit. ``experiment_rows`` builds the rows of one
 named experiment and solves only the circuits behind them.
+
+A builder's conveyor is a map of netlist keys, such as
+``{"level": 2.0, "rx": calibrated_rx()}``, completed and checked by
+``netlist.conveyor_params``; the empty map is the ideal conveyor (R_X = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
-from .devices import CcciiParams
 from .errors import GainOutOfRangeError, UnknownExperimentError
 from .measure import classify_tuning, gain_pp, vpp
 from .netlist import (
@@ -35,6 +39,7 @@ from .netlist import (
     Directive,
     ElementDecl,
     NetlistDocument,
+    conveyor_params,
     validate,
 )
 from .solver import Waveform, transient
@@ -69,7 +74,7 @@ class AmplifierSpec:
     r1: float
     r2: float
     input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ)
-    cccii: CcciiParams = CcciiParams(rx_ohms=0.0)
+    cccii: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.r1 > 0 and self.r2 > 0):
@@ -87,7 +92,7 @@ def proposed_amplifier_document(spec: AmplifierSpec) -> NetlistDocument:
             KIND_VSOURCE, "VIN", ("in", "0"),
             {"offset": offset, "amplitude": amplitude, "freq": freq},
         ),
-        ElementDecl(KIND_CCCII, "X1", ("in", "x", "out"), spec.cccii.to_netlist_params()),
+        ElementDecl(KIND_CCCII, "X1", ("in", "x", "out"), conveyor_params(spec.cccii)),
         ElementDecl(KIND_RESISTOR, "R1", ("x", "0"), {"value": spec.r1}),
         ElementDecl(KIND_RESISTOR, "R2", ("out", "0"), {"value": spec.r2}),
     )
@@ -108,7 +113,7 @@ def ferri_amplifier_document(
     r1: float,
     r2: float,
     input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ),
-    cccii: CcciiParams = CcciiParams(rx_ohms=0.0),
+    cccii: Mapping[str, float] = {},
 ) -> NetlistDocument:
     """Two-conveyor comparison amplifier.
 
@@ -116,7 +121,9 @@ def ferri_amplifier_document(
     node, X=out). XB's Z node "zf" stays floating, matching the published
     description of one unused mirror output.
     """
-    params = cccii.to_netlist_params()
+    if not (r1 > 0 and r2 > 0):
+        raise ValueError("r1 and r2 must be positive")
+    params = conveyor_params(cccii)
     offset, amplitude, freq = input
     elements = (
         ElementDecl(
@@ -141,10 +148,8 @@ def build_ferri_amplifier(
     r1: float,
     r2: float,
     input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ),
-    cccii: CcciiParams = CcciiParams(rx_ohms=0.0),
+    cccii: Mapping[str, float] = {},
 ) -> Circuit:
-    if not (r1 > 0 and r2 > 0):
-        raise ValueError("r1 and r2 must be positive")
     return validate(ferri_amplifier_document(r1, r2, input, cccii))
 
 
@@ -217,7 +222,7 @@ def experiment_document(name: str) -> NetlistDocument:
     figure amplifier with calibrated R_X, or the two-conveyor comparison."""
     if name in FIGURE_CONFIGS:
         r1, r2, _ = FIGURE_CONFIGS[name]
-        cccii = CcciiParams(level=2, rx_ohms=calibrated_rx())
+        cccii = {"level": 2.0, "rx": calibrated_rx()}
         return proposed_amplifier_document(AmplifierSpec(r1, r2, cccii=cccii))
     if name == "ferri":
         return ferri_amplifier_document(FERRI_R1, FERRI_R2)
@@ -265,7 +270,7 @@ def _table2_row(name: str) -> ReproductionRow:
     r1, r2 = TABLE2_CONFIGS[name]
     rx_cal = calibrated_rx()
     case = classify_tuning(r1, r2, rx_cal)
-    spec = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=rx_cal))
+    spec = AmplifierSpec(r1, r2, cccii={"level": 2.0, "rx": rx_cal})
     w = _solve(proposed_amplifier_document(spec))
     return ReproductionRow(
         name=name,

@@ -30,6 +30,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -225,27 +226,28 @@ def _parse_cccii(name, tokens, line) -> ElementDecl:
     model = tokens[3].upper()
     if model not in ("CCCII+", "CCCII-"):
         raise UnknownElementKindError(f"unknown conveyor model {tokens[3]!r}", line)
-    params: dict[str, float] = {
-        "polarity": +1.0 if model.endswith("+") else -1.0,
-        "level": 1.0,
-        "vdd": DEFAULT_VDD,
-        "vss": DEFAULT_VSS,
-    }
+    values = {"polarity": +1.0 if model.endswith("+") else -1.0}
     for tok in tokens[4:]:
         key, sep, raw = tok.partition("=")
         if not sep or key.lower() not in _CCCII_KEYS:
             raise NetlistSyntaxError(f"bad conveyor parameter {tok!r}", line)
-        params[key.lower()] = parse_value(raw, line)
+        values[key.lower()] = parse_value(raw, line)
+    return ElementDecl(KIND_CCCII, name, nodes, conveyor_params(values, line))
+
+
+def conveyor_params(values: Mapping[str, float], line: int | None = None) -> dict[str, float]:
+    """The one conveyor record: ``values`` (lower-case netlist keys plus
+    ``polarity``, +1 or -1) with the parser's defaults filled in, as a new
+    map. Raises NetlistSyntaxError unless it is a valid conveyor, so parsed
+    lines, swept values and built amplifiers share one set of checks."""
+    for key in values:
+        if key not in _CCCII_KEYS and key != "polarity":
+            raise NetlistSyntaxError(f"bad conveyor parameter {key!r}", line)
+    params = {"polarity": +1.0, "level": 1.0, "vdd": DEFAULT_VDD, "vss": DEFAULT_VSS, **values}
     if "ib" not in params:
         params.setdefault("rx", 0.0)
-    check_cccii_params(params, line)
-    return ElementDecl(KIND_CCCII, name, nodes, params)
-
-
-def check_cccii_params(params: dict[str, float], line: int | None = None) -> None:
-    """Raise NetlistSyntaxError unless ``params`` is a valid conveyor
-    parameter map: the one home of the checks, for parsed lines and for
-    swept values alike."""
+    if params["polarity"] not in (1.0, -1.0):
+        raise NetlistSyntaxError("polarity must be +1 or -1", line)
     if "rx" in params and "ib" in params:
         raise NetlistSyntaxError("RX and IB are mutually exclusive", line)
     if ("ib" in params) != ("beta" in params):
@@ -255,12 +257,15 @@ def check_cccii_params(params: dict[str, float], line: int | None = None) -> Non
             raise NetlistSyntaxError("IB must be positive", line)
         if not params["beta"] > 0:
             raise NetlistSyntaxError("BETA must be positive", line)
+        if not 8.0 * params["beta"] * params["ib"] > 0:
+            raise NetlistSyntaxError("R_X = 1/sqrt(8*BETA*IB) is not finite", line)
     elif params["rx"] < 0:
         raise NetlistSyntaxError("RX must be non-negative", line)
     if params["level"] not in (1.0, 2.0):
         raise NetlistSyntaxError("LEVEL must be 1 or 2", line)
     if not params["vdd"] > params["vss"]:
         raise NetlistSyntaxError("VDD must exceed VSS", line)
+    return params
 
 
 _ELEMENT_PARSERS = {

@@ -111,7 +111,7 @@ def source_value(elem: ElementDecl, t: float | np.ndarray) -> float | np.ndarray
 class _Assembly:
     """Static MNA matrix and right-hand side of a circuit, the voltage-source
     branch rows ``vsource_rows`` as (element, row) pairs, and the clamped Z
-    rows ``clamps`` as (row, CcciiParams) pairs."""
+    rows ``clamps`` as (row, vdd, vss) triples."""
 
     def __init__(self, circuit: Circuit):
         # Triplet assembly: one pass collects every device's (row, col, value)
@@ -141,10 +141,9 @@ class _Assembly:
                 assert elem.kind == KIND_CCCII
                 z = at(nodes[2], n)
                 b = circuit.branch_dense_index(elem.name)
-                params = devices.CcciiParams.from_netlist_params(elem.params)
-                r, c, v = devices._cccii_entries(p, m, z, b, params)
-                if params.level == 2 and z != n:
-                    self.clamps.append((z, params))
+                r, c, v = devices._cccii_entries(p, m, z, b, elem.params)
+                if elem.params["level"] == 2 and z != n:
+                    self.clamps.append((z, elem.params["vdd"], elem.params["vss"]))
             rows += r
             cols += c
             vals += v
@@ -166,8 +165,8 @@ class _Assembly:
 
     def residual_vector(self, t: float, x: np.ndarray) -> np.ndarray:
         f = self.a_static @ x - self.rhs_at(t)
-        for row, params in self.clamps:
-            f[row] += devices.eval_clamp(x[row], params)[0]
+        for row, vdd, vss in self.clamps:
+            f[row] += devices.eval_clamp(x[row], vdd, vss)[0]
         return f
 
 
@@ -223,9 +222,10 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ) from None
     x = a_inv @ b
     abs_inv = np.abs(a_inv, out=a_inv)  # the inverse is not needed past x
-    cond = a_norm * abs_inv.sum(axis=0).max()
-    if not cond * PIVOT_RTOL < 1.0:
-        cond = _equilibrated_condition(a, abs_inv)
+    with np.errstate(over="ignore"):  # an estimate that overflows is refused below
+        cond = a_norm * abs_inv.sum(axis=0).max()
+        if not cond * PIVOT_RTOL < 1.0:
+            cond = _equilibrated_condition(a, abs_inv)
     if not cond * PIVOT_RTOL < 1.0:
         raise SingularMatrixError(
             f"condition number {cond:.3e} too large (floating node or unsolvable topology)"
@@ -239,8 +239,8 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _clamp_currents(clamps: list, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp currents and conductances at port voltages ``v`` (lanes, k)."""
     i, g = np.empty_like(v), np.empty_like(v)
-    for j, (_, params) in enumerate(clamps):
-        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], params)
+    for j, (_, vdd, vss) in enumerate(clamps):
+        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], vdd, vss)
     return i, g
 
 
@@ -287,7 +287,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
         return np.zeros((len(times), 0))
     # one solve against [b_static | unit columns of the source rows | E]
     drives = [row for _, row in asm.vsource_rows]
-    z = [row for row, _ in asm.clamps]
+    z = [row for row, _, _ in asm.clamps]
     columns = np.zeros((size, 1 + len(drives) + len(z)))
     columns[:, 0] = asm.rhs_static
     columns[drives + z, np.arange(1, columns.shape[1])] = 1.0
@@ -321,9 +321,9 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     # currents predicted for the ports before j
     u = v_lin.copy()
     v, i, g = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    for j, (_, params) in enumerate(asm.clamps):
-        v[:, j] = devices.clamp_port_root(u[:, j], s[j, j], params)
-        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], params)
+    for j, (_, vdd, vss) in enumerate(asm.clamps):
+        v[:, j] = devices.clamp_port_root(u[:, j], s[j, j], vdd, vss)
+        i[:, j], g[:, j] = devices.eval_clamp(v[:, j], vdd, vss)
         u[:, j + 1:] -= np.multiply.outer(i[:, j], s[j + 1:, j])
     r = misfit(slice(None), i)
     # written ~(r <= tol) so that a NaN residual counts as unconverged

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ccsim.devices import CcciiParams, MosProcessParams, compute_rx
+from ccsim.devices import conveyor_rx
 from ccsim.errors import NetlistError
 from ccsim.experiments import (
     AmplifierSpec,
@@ -19,7 +19,7 @@ from ccsim.experiments import (
     calibrate_rx,
 )
 from ccsim.measure import classify_tuning, gain_pp, source_power, vpp
-from ccsim.netlist import parse_netlist, serialize, validate
+from ccsim.netlist import conveyor_params, parse_netlist, serialize, validate
 from ccsim.solver import newton_solve, residual, transient
 
 CLAMP_BAND = 10e-3
@@ -35,13 +35,13 @@ def _criterion(num: int, label: str):
     print(f"[criterion {num}] {label}: PASS")
 
 
-def _amp_gain(r1: float, r2: float, cccii: CcciiParams, amplitude=0.05) -> float:
+def _amp_gain(r1: float, r2: float, cccii: dict, amplitude=0.05) -> float:
     spec = AmplifierSpec(r1, r2, input=(0.0, amplitude, 1e3), cccii=cccii)
     w = transient(build_proposed_amplifier(spec), 20e-6, 2e-3)
     return gain_pp(w, "in", "out")
 
 
-def _amp_vpp_out(r1: float, r2: float, cccii: CcciiParams) -> float:
+def _amp_vpp_out(r1: float, r2: float, cccii: dict) -> float:
     spec = AmplifierSpec(r1, r2, cccii=cccii)
     w = transient(build_proposed_amplifier(spec), 20e-6, 5e-3)
     return vpp(w, "out")
@@ -53,7 +53,7 @@ RX_CAL = calibrate_rx(1.30, 8e3, 15e3)  # about 3538 ohm
 def test_criterion_1_ideal_gain_law():
     with _criterion(1, "ideal gain law r2/r1 to 1e-6"):
         start = time.perf_counter()
-        ideal = CcciiParams(rx_ohms=0.0)
+        ideal = {}
         for r1, r2, expected in ((1e3, 100e3, 100.0), (2e3, 50e3, 25.0), (8e3, 15e3, 1.875)):
             assert _amp_gain(r1, r2, ideal) == pytest.approx(expected, rel=1e-6)
         rng = np.random.default_rng(20260808)
@@ -67,7 +67,7 @@ def test_criterion_2_fig8_self_consistency():
     with _criterion(2, "fig8 reproduction, 130 mVpp within 1%"):
         start = time.perf_counter()
         assert RX_CAL == pytest.approx(3538.46, rel=1e-4)
-        measured = _amp_vpp_out(8e3, 15e3, CcciiParams(level=2, rx_ohms=RX_CAL))
+        measured = _amp_vpp_out(8e3, 15e3, {"level": 2.0, "rx": RX_CAL})
         assert measured == pytest.approx(0.13, rel=0.01)
         assert time.perf_counter() - start < 1.0
 
@@ -75,7 +75,7 @@ def test_criterion_2_fig8_self_consistency():
 def test_criterion_3_fig7_cross_prediction():
     with _criterion(3, "fig7 cross-prediction, reference within 20% of model"):
         start = time.perf_counter()
-        predicted = _amp_vpp_out(2e3, 50e3, CcciiParams(level=2, rx_ohms=RX_CAL))
+        predicted = _amp_vpp_out(2e3, 50e3, {"level": 2.0, "rx": RX_CAL})
         assert predicted == pytest.approx(0.1 * 50e3 / (2e3 + RX_CAL), rel=5e-3)
         assert abs(0.8 - predicted) / predicted <= 0.20
         assert time.perf_counter() - start < 1.0
@@ -84,7 +84,7 @@ def test_criterion_3_fig7_cross_prediction():
 def test_criterion_4_fig6_rail_clipping():
     with _criterion(4, "fig6 clipping at +/-0.5 V rails"):
         start = time.perf_counter()
-        measured = _amp_vpp_out(1e3, 100e3, CcciiParams(level=2, rx_ohms=RX_CAL))
+        measured = _amp_vpp_out(1e3, 100e3, {"level": 2.0, "rx": RX_CAL})
         assert 0.95 <= measured <= 1.02 + 2 * CLAMP_BAND
         assert time.perf_counter() - start < 1.0
 
@@ -99,7 +99,7 @@ def test_criterion_5_tuning_classification():
         ):
             case = classify_tuning(r1, r2, RX_CAL)
             assert (case.label, case.behavior) == (label, behavior)
-            simulated = _amp_gain(r1, r2, CcciiParams(level=2, rx_ohms=RX_CAL))
+            simulated = _amp_gain(r1, r2, {"level": 2.0, "rx": RX_CAL})
             assert (simulated > 1.0) == (case.behavior == "amplifies")
         # random triples: classifier vs unclamped simulation
         rng = np.random.default_rng(5)
@@ -108,7 +108,7 @@ def test_criterion_5_tuning_classification():
             rx = float(10.0 ** rng.uniform(0, 5))
             case = classify_tuning(r1, r2, rx)
             amplitude = min(0.05, 0.4 / case.predicted_gain)
-            simulated = _amp_gain(r1, r2, CcciiParams(rx_ohms=rx), amplitude=amplitude)
+            simulated = _amp_gain(r1, r2, {"rx": rx}, amplitude=amplitude)
             assert (simulated > 1.0) == (case.behavior == "amplifies")
             if r1 == r2 and rx > 0:
                 assert case.behavior == "attenuates"
@@ -116,12 +116,15 @@ def test_criterion_5_tuning_classification():
 
 def test_criterion_6_intrinsic_resistance_formula():
     with _criterion(6, "R_X formula and quarter-bias doubling"):
-        assert compute_rx(MosProcessParams.from_beta(0.125), 1.0) == 1.0
+        def rx(beta, ib):
+            return conveyor_rx(conveyor_params({"ib": ib, "beta": beta}))
+
+        assert rx(0.125, 1.0) == 1.0
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            p = MosProcessParams.from_beta(float(10.0 ** rng.uniform(-5, 0)))
+            beta = float(10.0 ** rng.uniform(-5, 0))
             ib = float(10.0 ** rng.uniform(-7, -2))
-            assert compute_rx(p, ib / 4) == pytest.approx(2 * compute_rx(p, ib), rel=1e-12)
+            assert rx(beta, ib / 4) == pytest.approx(2 * rx(beta, ib), rel=1e-12)
 
 
 def _ladder_oracle(vin, series, shunts):

@@ -371,19 +371,64 @@ def test_sweep_rejects_crossed_rails(capsys):
     assert captured.err == "error: VDD must exceed VSS\n"
 
 
-def test_sweep_rejects_zero_beta(tmp_path, capsys):
+def _bias_amplifier(tmp_path, bias: str) -> Path:
     path = tmp_path / "bias.cir"
     path.write_text(
         "VIN in 0 SIN(0 50m 1k)\n"
-        "X1 in x out CCCII+ IB=50u BETA=1m LEVEL=2\n"
+        f"X1 in x out CCCII+ {bias}\n"
         "R1 x 0 8k\nR2 out 0 15k\n"
         ".tran 20u 2m\n.measure gain(in,out)\n.end\n"
     )
+    return path
+
+
+def test_sweep_rejects_zero_beta(tmp_path, capsys):
+    path = _bias_amplifier(tmp_path, "IB=50u BETA=1m LEVEL=2")
     assert main([
         "sweep", str(path), "--param", "X1.BETA",
         "--from", "0", "--to", "1m", "--points", "3",
     ]) == 1
     assert capsys.readouterr().err == "error: BETA must be positive\n"
+
+
+_UNDERFLOW = "R_X = 1/sqrt(8*BETA*IB) is not finite"
+
+
+def test_run_rejects_bias_pair_that_underflows(tmp_path, capsys):
+    # 8 * 1e-200 * 1e-200 is 0.0 in double precision
+    path = _bias_amplifier(tmp_path, "IB=1e-200 BETA=1e-200")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: line 2: {_UNDERFLOW}\n"
+
+
+def test_sweep_rejects_bias_current_that_underflows(tmp_path, capsys):
+    path = _bias_amplifier(tmp_path, "IB=1u BETA=1e-200")
+    assert main([
+        "sweep", str(path), "--param", "X1.IB",
+        "--from", "1e-200", "--to", "1e-6", "--points", "3", "--log",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_UNDERFLOW}\n"
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_overflowing_condition_estimate_prints_one_error_line(sweep, tmp_path):
+    # run as a process, so numpy's warnings reach stderr as a user sees them
+    if sweep:
+        argv = ["sweep", "fig8", "--param", "X1.RX", "--from", "0", "--to", "1e308",
+                "--points", "3"]
+    else:
+        argv = ["run", str(_bias_amplifier(tmp_path, "RX=1e308"))]
+    env = dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccsim", *argv],
+        capture_output=True, env=env, cwd=PKG_ROOT, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: solver: condition number ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_sweep_rejects_unknown_base(capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ccsim.cli import main
-from ccsim.devices import CcciiParams
-from ccsim.errors import GainOutOfRangeError, UnknownExperimentError
+from ccsim.devices import conveyor_rx
+from ccsim.errors import GainOutOfRangeError, NetlistSyntaxError, UnknownExperimentError
 from ccsim.experiments import (
     AmplifierSpec,
     FIGURE_CONFIGS,
@@ -42,19 +42,19 @@ def test_proposed_amplifier_ideal_gain():
 
 
 def test_proposed_amplifier_with_parasitic():
-    spec = AmplifierSpec(8e3, 15e3, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
+    spec = AmplifierSpec(8e3, 15e3, cccii={"level": 2.0, "rx": calibrated_rx()})
     w = _run(build_proposed_amplifier(spec))
     assert vpp(w, "out") == pytest.approx(0.13, rel=0.01)
 
 
 def test_proposed_amplifier_clips_at_rails():
-    spec = AmplifierSpec(1e3, 100e3, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
+    spec = AmplifierSpec(1e3, 100e3, cccii={"level": 2.0, "rx": calibrated_rx()})
     w = _run(build_proposed_amplifier(spec))
     assert 0.95 <= vpp(w, "out") <= 1.04
 
 
 def test_builder_document_round_trips():
-    spec = AmplifierSpec(2e3, 50e3, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
+    spec = AmplifierSpec(2e3, 50e3, cccii={"level": 2.0, "rx": calibrated_rx()})
     doc = proposed_amplifier_document(spec)
     again = parse_netlist(serialize(doc))
     assert again == doc
@@ -68,6 +68,20 @@ def test_spec_validation():
         AmplifierSpec(-1.0, 1e3)
     with pytest.raises(ValueError):
         AmplifierSpec(1e3, 1e3, input=(0.0, 0.0, 1e3))
+
+
+@pytest.mark.parametrize("r1, r2", [(0.0, 1e3), (1e3, -1.0)])
+def test_ferri_document_rejects_non_positive_resistors(r1, r2):
+    # checked where the document is made, so no built document fails to parse
+    with pytest.raises(ValueError, match="r1 and r2 must be positive"):
+        ferri_amplifier_document(r1, r2)
+
+
+def test_builders_check_the_conveyor_map():
+    with pytest.raises(NetlistSyntaxError, match="RX must be non-negative"):
+        proposed_amplifier_document(AmplifierSpec(1e3, 1e3, cccii={"rx": -1.0}))
+    with pytest.raises(NetlistSyntaxError, match="bad conveyor parameter 'rx_ohms'"):
+        ferri_amplifier_document(1e3, 1e3, cccii={"rx_ohms": 1.0})
 
 
 # ── two-conveyor comparison amplifier ───────────────────────────────
@@ -118,20 +132,17 @@ def test_calibrate_rx_out_of_range(gain, r1, r2):
 def test_calibration_round_trip_through_simulation():
     r1, r2 = 8e3, 15e3
     for rho in np.geomspace(10.0, 100e3, 9):
-        spec = AmplifierSpec(r1, r2, cccii=CcciiParams(level=2, rx_ohms=float(rho)))
+        spec = AmplifierSpec(r1, r2, cccii={"level": 2.0, "rx": float(rho)})
         w = _run(build_proposed_amplifier(spec))
         measured = gain_pp(w, "in", "out")
         assert calibrate_rx(measured, r1, r2) == pytest.approx(rho, rel=1e-6)
 
 
 def test_bias_derived_rx_matches_closed_form_gain():
-    from ccsim.devices import MosProcessParams, compute_rx
-
-    process = MosProcessParams.from_beta(1e-3)
     for ib in (20e-6, 50e-6, 200e-6):
-        cccii = CcciiParams(level=2, rx_ohms=None, i_b=ib, process=process)
+        cccii = {"level": 2.0, "ib": ib, "beta": 1e-3}
         w = _run(build_proposed_amplifier(AmplifierSpec(8e3, 15e3, cccii=cccii)))
-        expected = 15e3 / (8e3 + compute_rx(process, ib))
+        expected = 15e3 / (8e3 + conveyor_rx(cccii))
         assert gain_pp(w, "in", "out") == pytest.approx(expected, rel=1e-6)
 
 
@@ -141,7 +152,7 @@ def test_clamped_output_bounded_by_rail_span():
     for amplitude in (0.1, 0.5, 5.0):
         spec = AmplifierSpec(
             1e3, 100e3, input=(0.0, amplitude, 1e3),
-            cccii=CcciiParams(level=2, rx_ohms=0.0),
+            cccii={"level": 2.0},
         )
         w = _run(build_proposed_amplifier(spec))
         assert vpp(w, "out") <= 1.0 + 2 * 10e-3
@@ -195,7 +206,7 @@ def test_report_tuning_rows(report):
 
 def test_report_measured_values_come_from_runs(report):
     # re-run one configuration independently and compare
-    spec = AmplifierSpec(8e3, 15e3, cccii=CcciiParams(level=2, rx_ohms=calibrated_rx()))
+    spec = AmplifierSpec(8e3, 15e3, cccii={"level": 2.0, "rx": calibrated_rx()})
     w = _run(build_proposed_amplifier(spec))
     assert report.row("fig8").measured_vpp == pytest.approx(vpp(w, "out"), rel=1e-12)
 

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from ccsim.devices import (
-    CcciiParams,
     _cccii_entries,
     _isource_entries,
     _resistor_entries,
@@ -150,8 +149,7 @@ def _stamped(circuit):
             entries = _vsource_entries(*idx, circuit.branch_dense_index(elem.name))
         else:
             branch = circuit.branch_dense_index(elem.name)
-            params = CcciiParams.from_netlist_params(elem.params)
-            entries = _cccii_entries(*idx, branch, params)
+            entries = _cccii_entries(*idx, branch, elem.params)
         for r, c, v in zip(*entries):
             if r is not None and c is not None:
                 a[r, c] += v
@@ -187,11 +185,11 @@ def test_assembly_equals_declaration_order_sum_of_stamps():
         assert np.array_equal(asm.rhs_static, b)
         assert asm.a_static.dtype == asm.rhs_static.dtype == np.float64
         clamped = [
-            ckt.node_index[e.nodes[2]]
+            (ckt.node_index[e.nodes[2]], e.params["vdd"], e.params["vss"])
             for e in ckt.elements
             if e.kind == KIND_CCCII and e.params["level"] == 2.0 and e.nodes[2] in ckt.node_index
         ]
-        assert [row for row, _ in asm.clamps] == clamped
+        assert asm.clamps == clamped
 
 
 def test_static_rhs_is_float_without_current_sources():
