@@ -48,6 +48,13 @@ def test_conveyor_rx_exact_unity():
     assert conveyor_rx(_bias(0.125, 1.0)) == 1.0
 
 
+def test_compute_rx_rejects_bad_bias():
+    # a non-positive bias has no R_X; it is refused before any R_X is formed
+    for ib in (0.0, -1e-6):
+        with pytest.raises(NetlistSyntaxError, match="IB must be positive"):
+            conveyor_rx(_bias(1e-3, ib))
+
+
 def test_conveyor_rx_is_the_closed_form_bit_for_bit():
     rng = np.random.default_rng(8)
     for _ in range(1000):
