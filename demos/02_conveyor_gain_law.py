@@ -11,17 +11,17 @@ Run with:  python demos/02_conveyor_gain_law.py
 import numpy as np
 
 from ccsim import (
-    AmplifierSpec,
-    build_proposed_amplifier,
     classify_tuning,
     conveyor_rx,
     gain_pp,
+    proposed_amplifier_document,
     transient,
+    validate,
 )
 
 
 def simulated_gain(r1, r2, cccii):
-    circuit = build_proposed_amplifier(AmplifierSpec(r1, r2, cccii=cccii))
+    circuit = validate(proposed_amplifier_document(r1, r2, cccii=cccii))
     waveform = transient(circuit, 20e-6, 2e-3)
     return gain_pp(waveform, "in", "out")
 

@@ -8,16 +8,16 @@ Run with:  python demos/04_clipping_and_power.py
 """
 
 from ccsim import (
-    AmplifierSpec,
-    build_proposed_amplifier,
     calibrated_rx,
+    proposed_amplifier_document,
     source_power,
     transient,
+    validate,
     vpp,
 )
 
-spec = AmplifierSpec(1e3, 100e3, cccii={"level": 2.0, "rx": calibrated_rx()})
-waveform = transient(build_proposed_amplifier(spec), 20e-6, 5e-3)
+doc = proposed_amplifier_document(1e3, 100e3, cccii={"level": 2.0, "rx": calibrated_rx()})
+waveform = transient(validate(doc), 20e-6, 5e-3)
 
 print(f"input  vpp: {vpp(waveform, 'in') * 1e3:7.2f} mV")
 print(f"output vpp: {vpp(waveform, 'out') * 1e3:7.2f} mV  (rail span is 1000 mV)")

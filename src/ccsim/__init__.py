@@ -10,11 +10,8 @@ peak-to-peak levels, gain, and source power.
 from .devices import conveyor_rx, eval_clamp
 from .errors import CcsimError
 from .experiments import (
-    AmplifierSpec,
     ReproductionReport,
     ReproductionRow,
-    build_ferri_amplifier,
-    build_proposed_amplifier,
     calibrate_rx,
     calibrated_rx,
     ferri_amplifier_document,
@@ -22,11 +19,9 @@ from .experiments import (
     run_reproduction,
 )
 from .measure import (
-    Measurement,
     TuningCase,
     classify_tuning,
     default_window,
-    evaluate_directive,
     gain_pp,
     source_power,
     vpp,
@@ -42,7 +37,6 @@ from .netlist import (
     validate,
 )
 from .solver import (
-    NewtonOptions,
     Solution,
     Waveform,
     lu_solve,
@@ -54,28 +48,22 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplifierSpec",
     "CcsimError",
     "Circuit",
     "Directive",
     "ElementDecl",
-    "Measurement",
     "NetlistDocument",
-    "NewtonOptions",
     "ReproductionReport",
     "ReproductionRow",
     "Solution",
     "TuningCase",
     "Waveform",
-    "build_ferri_amplifier",
-    "build_proposed_amplifier",
     "calibrate_rx",
     "calibrated_rx",
     "classify_tuning",
     "conveyor_rx",
     "default_window",
     "eval_clamp",
-    "evaluate_directive",
     "ferri_amplifier_document",
     "gain_pp",
     "lu_solve",

@@ -34,7 +34,7 @@ from .errors import (
     UnknownParameterError,
 )
 from .experiments import experiment_document, experiment_rows
-from .measure import evaluate_directive
+from .measure import default_window, gain_pp, source_power, vpp
 from .netlist import (
     GROUND,
     KIND_CCCII,
@@ -99,17 +99,18 @@ def _dump_waveform(waveform, node: str, stream) -> None:
 
 
 def _measure_rows(name: str, doc: NetlistDocument, waveform) -> list[Row]:
+    window = default_window(waveform)
     rows: list[Row] = []
     for directive in doc.measures():
-        result = evaluate_directive(waveform, directive.args)
-        if result.kind == "vpp":
-            label = f"vpp({directive.args[1]})"
-            rows.append((name, "", "", label, _fmt(result.values[0]), "V"))
-        elif result.kind == "gain_pp":
-            label = f"gain({directive.args[1]},{directive.args[2]})"
-            rows.append((name, "", "", label, _fmt(result.values[0]), ""))
+        metric, *nodes = directive.args
+        if metric == "vpp":
+            value = vpp(waveform, nodes[0], window)
+            rows.append((name, "", "", f"vpp({nodes[0]})", _fmt(value), "V"))
+        elif metric == "gain":
+            value = gain_pp(waveform, nodes[0], nodes[1], window)
+            rows.append((name, "", "", f"gain({nodes[0]},{nodes[1]})", _fmt(value), ""))
         else:
-            avg, peak = result.values
+            avg, peak = source_power(waveform, window)
             rows.append((name, "", "", "power_avg", _fmt(avg), "W"))
             rows.append((name, "", "", "power_peak", _fmt(peak), "W"))
     return rows

@@ -66,6 +66,8 @@ def _resistor_entries(p, m, r: float) -> tuple[tuple, tuple, tuple]:
     if not (r > 0 and math.isfinite(r)):
         raise NonPositiveResistanceError(f"resistance must be positive and finite, got {r}")
     g = 1.0 / r
+    if not math.isfinite(g):
+        raise NonPositiveResistanceError(f"resistance {r} has no finite conductance")
     return (p, m, p, m), (p, m, m, p), (g, g, -g, -g)
 
 

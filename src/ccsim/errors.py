@@ -81,7 +81,7 @@ class SingularMatrixError(SolverError):
 
 
 class NoConvergenceError(SolverError):
-    """Newton iteration exhausted ``max_iter``.
+    """Newton iteration exhausted ``solver.MAX_ITER`` steps.
 
     ``time`` is the first timepoint that did not converge and ``residual``
     its last infinity-norm residual.

@@ -19,14 +19,17 @@ rails at +/-0.5 V, the three resistor-ordering tuning cases, and the
 two-conveyor comparison circuit. ``experiment_rows`` builds the rows of one
 named experiment and solves only the circuits behind them.
 
-A builder's conveyor is a map of netlist keys, such as
-``{"level": 2.0, "rx": calibrated_rx()}``, completed and checked by
-``netlist.conveyor_params``; the empty map is the ideal conveyor (R_X = 0).
+Both builders, ``proposed_amplifier_document`` and
+``ferri_amplifier_document``, take (r1, r2, input, cccii) and return a
+netlist document; ``validate`` turns it into a circuit. A builder's conveyor
+is a map of netlist keys, such as ``{"level": 2.0, "rx": calibrated_rx()}``,
+completed and checked by ``netlist.conveyor_params``; the empty map is the
+ideal conveyor (R_X = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import GainOutOfRangeError, UnknownExperimentError
@@ -35,7 +38,6 @@ from .netlist import (
     KIND_CCCII,
     KIND_RESISTOR,
     KIND_VSOURCE,
-    Circuit,
     Directive,
     ElementDecl,
     NetlistDocument,
@@ -66,54 +68,54 @@ TABLE2_CONFIGS: dict[str, tuple[float, float]] = {
 
 FERRI_R1, FERRI_R2 = 1e3, 10e3
 
+_DEFAULT_INPUT = (0.0, INPUT_VPP / 2.0, RUN_FREQ)  # (offset, amplitude, freq)
 
-@dataclass(frozen=True)
-class AmplifierSpec:
-    """Parameters of one single-conveyor amplifier instance."""
-
-    r1: float
-    r2: float
-    input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ)
-    cccii: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (self.r1 > 0 and self.r2 > 0):
-            raise ValueError("r1 and r2 must be positive")
-        if not self.input[1] > 0:
-            raise ValueError("input amplitude must be positive")
+# The run and the readings every amplifier document asks for.
+_AMPLIFIER_DIRECTIVES = (
+    Directive("tran", (RUN_TSTEP, RUN_TSTOP)),
+    Directive("measure", ("vpp", "in")),
+    Directive("measure", ("vpp", "out")),
+    Directive("measure", ("gain", "in", "out")),
+)
 
 
-def proposed_amplifier_document(spec: AmplifierSpec) -> NetlistDocument:
-    """Runnable netlist of the single-conveyor amplifier (input node "in",
-    output node "out")."""
-    offset, amplitude, freq = spec.input
+def _amplifier_document(
+    title: str, conveyors: tuple, r1: float, r2: float, input: tuple, cccii: Mapping
+) -> NetlistDocument:
+    """Amplifier netlist: VIN drives node "in", then the (name, (y, x, z))
+    conveyors in order, all with the parameters ``cccii``, then R1 from the
+    first conveyor's X port and R2 from its Z port to ground."""
+    if not (r1 > 0 and r2 > 0):
+        raise ValueError("r1 and r2 must be positive")
+    offset, amplitude, freq = input
+    if not amplitude > 0:
+        raise ValueError("input amplitude must be positive")
+    params = conveyor_params(cccii)
+    _, x, z = conveyors[0][1]
     elements = (
         ElementDecl(
             KIND_VSOURCE, "VIN", ("in", "0"),
             {"offset": offset, "amplitude": amplitude, "freq": freq},
         ),
-        ElementDecl(KIND_CCCII, "X1", ("in", "x", "out"), conveyor_params(spec.cccii)),
-        ElementDecl(KIND_RESISTOR, "R1", ("x", "0"), {"value": spec.r1}),
-        ElementDecl(KIND_RESISTOR, "R2", ("out", "0"), {"value": spec.r2}),
+        *(ElementDecl(KIND_CCCII, name, nodes, dict(params)) for name, nodes in conveyors),
+        ElementDecl(KIND_RESISTOR, "R1", (x, "0"), {"value": r1}),
+        ElementDecl(KIND_RESISTOR, "R2", (z, "0"), {"value": r2}),
     )
-    directives = (
-        Directive("tran", (RUN_TSTEP, RUN_TSTOP)),
-        Directive("measure", ("vpp", "in")),
-        Directive("measure", ("vpp", "out")),
-        Directive("measure", ("gain", "in", "out")),
-    )
-    return NetlistDocument(elements, directives, title="tunable conveyor amplifier")
+    return NetlistDocument(elements, _AMPLIFIER_DIRECTIVES, title=title)
 
 
-def build_proposed_amplifier(spec: AmplifierSpec) -> Circuit:
-    return validate(proposed_amplifier_document(spec))
+def proposed_amplifier_document(
+    r1: float, r2: float, input: tuple = _DEFAULT_INPUT, cccii: Mapping[str, float] = {}
+) -> NetlistDocument:
+    """Runnable netlist of the single-conveyor amplifier (input node "in",
+    output node "out")."""
+    return _amplifier_document(
+        "tunable conveyor amplifier", (("X1", ("in", "x", "out")),), r1, r2, input, cccii
+    )
 
 
 def ferri_amplifier_document(
-    r1: float,
-    r2: float,
-    input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ),
-    cccii: Mapping[str, float] = {},
+    r1: float, r2: float, input: tuple = _DEFAULT_INPUT, cccii: Mapping[str, float] = {}
 ) -> NetlistDocument:
     """Two-conveyor comparison amplifier.
 
@@ -121,36 +123,11 @@ def ferri_amplifier_document(
     node, X=out). XB's Z node "zf" stays floating, matching the published
     description of one unused mirror output.
     """
-    if not (r1 > 0 and r2 > 0):
-        raise ValueError("r1 and r2 must be positive")
-    params = conveyor_params(cccii)
-    offset, amplitude, freq = input
-    elements = (
-        ElementDecl(
-            KIND_VSOURCE, "VIN", ("in", "0"),
-            {"offset": offset, "amplitude": amplitude, "freq": freq},
-        ),
-        ElementDecl(KIND_CCCII, "XA", ("in", "xa", "mid"), dict(params)),
-        ElementDecl(KIND_CCCII, "XB", ("mid", "out", "zf"), dict(params)),
-        ElementDecl(KIND_RESISTOR, "R1", ("xa", "0"), {"value": r1}),
-        ElementDecl(KIND_RESISTOR, "R2", ("mid", "0"), {"value": r2}),
+    return _amplifier_document(
+        "two-conveyor amplifier",
+        (("XA", ("in", "xa", "mid")), ("XB", ("mid", "out", "zf"))),
+        r1, r2, input, cccii,
     )
-    directives = (
-        Directive("tran", (RUN_TSTEP, RUN_TSTOP)),
-        Directive("measure", ("vpp", "in")),
-        Directive("measure", ("vpp", "out")),
-        Directive("measure", ("gain", "in", "out")),
-    )
-    return NetlistDocument(elements, directives, title="two-conveyor amplifier")
-
-
-def build_ferri_amplifier(
-    r1: float,
-    r2: float,
-    input: tuple[float, float, float] = (0.0, INPUT_VPP / 2.0, RUN_FREQ),
-    cccii: Mapping[str, float] = {},
-) -> Circuit:
-    return validate(ferri_amplifier_document(r1, r2, input, cccii))
 
 
 def calibrate_rx(gain_measured: float, r1: float, r2: float) -> float:
@@ -223,7 +200,7 @@ def experiment_document(name: str) -> NetlistDocument:
     if name in FIGURE_CONFIGS:
         r1, r2, _ = FIGURE_CONFIGS[name]
         cccii = {"level": 2.0, "rx": calibrated_rx()}
-        return proposed_amplifier_document(AmplifierSpec(r1, r2, cccii=cccii))
+        return proposed_amplifier_document(r1, r2, cccii=cccii)
     if name == "ferri":
         return ferri_amplifier_document(FERRI_R1, FERRI_R2)
     raise UnknownExperimentError(f"experiment {name!r} has no single waveform to dump")
@@ -238,7 +215,7 @@ _RAIL_SPAN = 1.0  # vdd - vss at the default rails
 
 def _ideal_row(name: str) -> ReproductionRow:
     r1, r2, _ = FIGURE_CONFIGS[name.removesuffix("_ideal")]
-    w = _solve(proposed_amplifier_document(AmplifierSpec(r1, r2)))
+    w = _solve(proposed_amplifier_document(r1, r2))
     return ReproductionRow(
         name=name,
         r1=r1,
@@ -270,8 +247,7 @@ def _table2_row(name: str) -> ReproductionRow:
     r1, r2 = TABLE2_CONFIGS[name]
     rx_cal = calibrated_rx()
     case = classify_tuning(r1, r2, rx_cal)
-    spec = AmplifierSpec(r1, r2, cccii={"level": 2.0, "rx": rx_cal})
-    w = _solve(proposed_amplifier_document(spec))
+    w = _solve(proposed_amplifier_document(r1, r2, cccii={"level": 2.0, "rx": rx_cal}))
     return ReproductionRow(
         name=name,
         r1=r1,

@@ -31,13 +31,6 @@ ATTENUATES = "attenuates"
 
 
 @dataclass(frozen=True)
-class Measurement:
-    kind: str  # "vpp" | "gain_pp" | "power"
-    values: tuple[float, ...]
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class TuningCase:
     """Resistor-ordering regime of the amplifier and its predicted effect."""
 
@@ -105,17 +98,6 @@ def source_power(
     else:
         average = float((p.sum() - 0.5 * (p[0] + p[-1])) / (len(p) - 1))
     return average, float(np.abs(p).max())
-
-
-def evaluate_directive(w: Waveform, args: tuple) -> Measurement:
-    """Evaluate one parsed ``.measure`` directive against a waveform."""
-    window = default_window(w)
-    metric = args[0]
-    if metric == "vpp":
-        return Measurement("vpp", (vpp(w, args[1], window),), window)
-    if metric == "gain":
-        return Measurement("gain_pp", (gain_pp(w, args[1], args[2], window),), window)
-    return Measurement("power", source_power(w, window), window)
 
 
 def classify_tuning(r1: float, r2: float, r_x: float) -> TuningCase:

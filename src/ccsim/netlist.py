@@ -185,6 +185,8 @@ def _parse_resistor(name, tokens, line) -> ElementDecl:
     value = parse_value(tokens[2], line)
     if not value > 0:
         raise NetlistSyntaxError(f"resistance must be positive, got {tokens[2]!r}", line)
+    if not math.isfinite(1.0 / value):
+        raise NetlistSyntaxError(f"resistance {tokens[2]!r} has no finite conductance", line)
     return ElementDecl(KIND_RESISTOR, name, nodes, {"value": value})
 
 

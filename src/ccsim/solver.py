@@ -33,18 +33,8 @@ from .netlist import (
 )
 
 PIVOT_RTOL = 1e-13  # reciprocal of the largest accepted 1-norm condition number
-
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    abs_tol: float = 1e-9
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+ABS_TOL = 1e-9  # largest clamp-current misfit (A) of a converged point
+MAX_ITER = 50  # Newton steps before a point counts as unconverged
 
 
 @dataclass(eq=False, frozen=True)
@@ -184,11 +174,16 @@ def _equilibrated_condition(a: np.ndarray, abs_inv: np.ndarray) -> float:
     maximum, into [0.5, 1) (van der Sluis 1969; LAPACK dgeequb). MNA rows mix
     siemens with the ohms of a conveyor's R_X, so the raw number can refuse a
     well-posed high-impedance circuit. The inverse of R A C is
-    C^-1 A^-1 R^-1, read off |A^-1|, ``abs_inv``, which is scaled in place."""
+    C^-1 A^-1 R^-1, read off |A^-1|, ``abs_inv``, which is scaled in place.
+    A maximum below 2**-1024 has no finite scale, and the estimate is inf."""
     scaled = np.abs(a)
     r = np.ldexp(1.0, -np.frexp(scaled.max(axis=1))[1])
+    if np.isinf(r).any():
+        return np.inf
     scaled *= r[:, None]
     c = np.ldexp(1.0, -np.frexp(scaled.max(axis=0))[1])
+    if np.isinf(c).any():
+        return np.inf
     scaled *= c
     norm = scaled.sum(axis=0).max()
     abs_inv /= c[:, None]
@@ -264,7 +259,7 @@ def _port_step(s: np.ndarray, g: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("singular clamp Jacobian") from None
 
 
-def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.ndarray:
+def _solve_points(asm: _Assembly, times: np.ndarray) -> np.ndarray:
     """Unknown vectors (T, size) at every time in ``times``.
 
     A x + E c(E^T x) = b(t), where E holds the unit columns of the k clamped
@@ -279,8 +274,9 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     v_j + S_jj c_j(v_j) = v_lin_j - sum_{i<j} S_ji c_i, so a single clamp or a
     cascade of clamps in declaration order (S_ji = 0 for i > j) starts at its
     solution. The full residual of x is c(E^T x) - c(v) on the clamp rows
-    (zero elsewhere); a point has converged when it is at most ``abs_tol`` on
-    every row.
+    (zero elsewhere); a point has converged when it is at most ``ABS_TOL`` on
+    every row, and ``MAX_ITER`` steps that leave one unconverged raise
+    NoConvergenceError.
     """
     size = len(asm.rhs_static)
     if size == 0:
@@ -327,8 +323,8 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
         u[:, j + 1:] -= np.multiply.outer(i[:, j], s[j + 1:, j])
     r = misfit(slice(None), i)
     # written ~(r <= tol) so that a NaN residual counts as unconverged
-    active = np.flatnonzero(~(r <= opts.abs_tol))
-    for _ in range(opts.max_iter):
+    active = np.flatnonzero(~(r <= ABS_TOL))
+    for _ in range(MAX_ITER):
         if not active.size:
             break
         va = v[active]
@@ -336,11 +332,11 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
         i_new, g_new = _clamp_currents(asm.clamps, v_new)
         r_new = misfit(active, i_new)
         v[active], i[active], g[active], r[active] = v_new, i_new, g_new, r_new
-        active = active[~(r_new <= opts.abs_tol)]
+        active = active[~(r_new <= ABS_TOL)]
     if active.size:
         first = active[0]
         raise NoConvergenceError(
-            f"no convergence after {opts.max_iter} iterations, residual {r[first]:.3e}",
+            f"no convergence after {MAX_ITER} iterations, residual {r[first]:.3e}",
             residual=float(r[first]),
             time=float(times[first]),
         )
@@ -348,9 +344,7 @@ def _solve_points(asm: _Assembly, times: np.ndarray, opts: NewtonOptions) -> np.
     return x
 
 
-def newton_solve(
-    circuit: Circuit, t: float = 0.0, opts: NewtonOptions | None = None
-) -> Solution:
+def newton_solve(circuit: Circuit, t: float = 0.0) -> Solution:
     """Solve the operating point at time ``t``: the one-point waveform.
 
     Purely linear circuits take one LAPACK solve and no Newton step;
@@ -358,18 +352,13 @@ def newton_solve(
     and are iterated only where clamp ports are coupled both ways (see
     ``_solve_points``).
     """
-    return _waveform(circuit, np.array([float(t)]), opts).solution_at(0)
+    return _waveform(circuit, np.array([float(t)])).solution_at(0)
 
 
 # ── transient sweep ─────────────────────────────────────────────────
 
 
-def transient(
-    circuit: Circuit,
-    tstep: float,
-    tstop: float,
-    opts: NewtonOptions | None = None,
-) -> Waveform:
+def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveform:
     """Solve t = 0, tstep, ..., tstop as independent operating points.
 
     All points share one factorization of the MNA matrix; clamped circuits
@@ -377,12 +366,12 @@ def transient(
     ValueError for a grid that ``.tran`` would reject (``tran_step_count``).
     """
     times = np.arange(tran_step_count(tstep, tstop) + 1) * tstep
-    return _waveform(circuit, times, opts)
+    return _waveform(circuit, times)
 
 
-def _waveform(circuit: Circuit, times: np.ndarray, opts: NewtonOptions | None) -> Waveform:
+def _waveform(circuit: Circuit, times: np.ndarray) -> Waveform:
     """Solutions and source power at each time in ``times``."""
-    states = _solve_points(_Assembly(circuit), times, opts or NewtonOptions())
+    states = _solve_points(_Assembly(circuit), times)
 
     n = circuit.n_nodes
     labels = circuit.unknown_labels()

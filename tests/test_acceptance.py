@@ -13,11 +13,7 @@ import pytest
 
 from ccsim.devices import conveyor_rx
 from ccsim.errors import NetlistError
-from ccsim.experiments import (
-    AmplifierSpec,
-    build_proposed_amplifier,
-    calibrate_rx,
-)
+from ccsim.experiments import calibrate_rx, proposed_amplifier_document
 from ccsim.measure import classify_tuning, gain_pp, source_power, vpp
 from ccsim.netlist import conveyor_params, parse_netlist, serialize, validate
 from ccsim.solver import newton_solve, residual, transient
@@ -36,14 +32,13 @@ def _criterion(num: int, label: str):
 
 
 def _amp_gain(r1: float, r2: float, cccii: dict, amplitude=0.05) -> float:
-    spec = AmplifierSpec(r1, r2, input=(0.0, amplitude, 1e3), cccii=cccii)
-    w = transient(build_proposed_amplifier(spec), 20e-6, 2e-3)
+    doc = proposed_amplifier_document(r1, r2, input=(0.0, amplitude, 1e3), cccii=cccii)
+    w = transient(validate(doc), 20e-6, 2e-3)
     return gain_pp(w, "in", "out")
 
 
 def _amp_vpp_out(r1: float, r2: float, cccii: dict) -> float:
-    spec = AmplifierSpec(r1, r2, cccii=cccii)
-    w = transient(build_proposed_amplifier(spec), 20e-6, 5e-3)
+    w = transient(validate(proposed_amplifier_document(r1, r2, cccii=cccii)), 20e-6, 5e-3)
     return vpp(w, "out")
 
 

@@ -412,14 +412,35 @@ def test_sweep_rejects_bias_current_that_underflows(tmp_path, capsys):
     assert captured.err == f"error: {_UNDERFLOW}\n"
 
 
-@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
-def test_overflowing_condition_estimate_prints_one_error_line(sweep, tmp_path):
+def test_run_rejects_resistor_whose_conductance_overflows(tmp_path, capsys):
+    path = tmp_path / "tiny.cir"
+    path.write_text("V1 1 0 DC 1\nR1 1 0 1e-309\n.op\n.end\n")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: resistance '1e-309' has no finite conductance\n"
+
+
+def test_sweep_rejects_resistor_whose_conductance_overflows(capsys):
+    assert main([
+        "sweep", "fig8", "--param", "R1", "--from", "1e-309", "--to", "1e-308", "--points", "2",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: resistance 1e-309 has no finite conductance\n"
+
+
+@pytest.mark.parametrize("case", ["run", "sweep", "subnormal_conductance"])
+def test_overflowing_condition_estimate_prints_one_error_line(case, tmp_path):
     # run as a process, so numpy's warnings reach stderr as a user sees them
-    if sweep:
+    if case == "run":
+        argv = ["run", str(_bias_amplifier(tmp_path, "RX=1e308"))]
+    elif case == "sweep":
         argv = ["sweep", "fig8", "--param", "X1.RX", "--from", "0", "--to", "1e308",
                 "--points", "3"]
-    else:
-        argv = ["run", str(_bias_amplifier(tmp_path, "RX=1e308"))]
+    else:  # 1/R2 is subnormal, so equilibration has no finite column scale
+        argv = ["sweep", "fig8", "--param", "R2", "--from", "1e308", "--to", "1.7e308",
+                "--points", "3"]
     env = dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "ccsim", *argv],
@@ -429,6 +450,7 @@ def test_overflowing_condition_estimate_prints_one_error_line(sweep, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: solver: condition number ")
     assert proc.stderr.count("\n") == 1
+    assert "nan" not in proc.stderr
 
 
 def test_sweep_rejects_unknown_base(capsys):
@@ -436,6 +458,43 @@ def test_sweep_rejects_unknown_base(capsys):
         "sweep", "table2", "--param", "R2",
         "--from", "1", "--to", "2", "--points", "2",
     ]) == 1
+
+
+# ── recorded output ─────────────────────────────────────────────────
+
+# Each file under fixtures/recorded is the stdout of its command as first
+# recorded; every one of them exits 0 with nothing on stderr.
+RECORDED_COMMANDS = {
+    **{f"run_{p.stem}.csv": ["run", str(p)] for p in sorted((FIXTURES / "good").glob("*.cir"))},
+    "sweep_fig8_r2_log.csv": [
+        "sweep", "fig8", "--param", "R2", "--from", "1k", "--to", "1meg", "--points", "5", "--log",
+    ],
+    "sweep_fig8_x1_rx.csv": [
+        "sweep", "fig8", "--param", "X1.RX", "--from", "0", "--to", "10k", "--points", "4",
+    ],
+    "sweep_ferri_r1.csv": [
+        "sweep", "ferri", "--param", "R1", "--from", "1k", "--to", "2k", "--points", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("recording", sorted(RECORDED_COMMANDS))
+def test_output_matches_recording(recording, capsys):
+    # labels and units exact, numbers (the swept value and the result) to
+    # 1e-9 relative
+    recorded = list(csv.reader((FIXTURES / "recorded" / recording).read_text().splitlines()))
+    assert main(RECORDED_COMMANDS[recording]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == len(recorded)
+    assert rows[0] == recorded[0]
+    for row, ref in zip(rows[1:], recorded[1:]):
+        assert row[:2] + row[3:4] + row[5:] == ref[:2] + ref[3:4] + ref[5:]
+        for col in (2, 4):
+            assert (row[col] == "") == (ref[col] == "")
+            if ref[col]:
+                assert float(row[col]) == pytest.approx(float(ref[col]), rel=1e-9, abs=0.0)
 
 
 # ── input and output errors ─────────────────────────────────────────

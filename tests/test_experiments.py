@@ -10,13 +10,10 @@ from ccsim.cli import main
 from ccsim.devices import conveyor_rx
 from ccsim.errors import GainOutOfRangeError, NetlistSyntaxError, UnknownExperimentError
 from ccsim.experiments import (
-    AmplifierSpec,
     FIGURE_CONFIGS,
     INPUT_VPP,
     RUN_TSTEP,
     RUN_TSTOP,
-    build_ferri_amplifier,
-    build_proposed_amplifier,
     calibrate_rx,
     calibrated_rx,
     experiment_rows,
@@ -37,25 +34,24 @@ def _run(circuit):
 
 
 def test_proposed_amplifier_ideal_gain():
-    w = _run(build_proposed_amplifier(AmplifierSpec(1e3, 100e3)))
+    w = _run(validate(proposed_amplifier_document(1e3, 100e3)))
     assert gain_pp(w, "in", "out") == pytest.approx(100.0, rel=1e-6)
 
 
 def test_proposed_amplifier_with_parasitic():
-    spec = AmplifierSpec(8e3, 15e3, cccii={"level": 2.0, "rx": calibrated_rx()})
-    w = _run(build_proposed_amplifier(spec))
+    cccii = {"level": 2.0, "rx": calibrated_rx()}
+    w = _run(validate(proposed_amplifier_document(8e3, 15e3, cccii=cccii)))
     assert vpp(w, "out") == pytest.approx(0.13, rel=0.01)
 
 
 def test_proposed_amplifier_clips_at_rails():
-    spec = AmplifierSpec(1e3, 100e3, cccii={"level": 2.0, "rx": calibrated_rx()})
-    w = _run(build_proposed_amplifier(spec))
+    cccii = {"level": 2.0, "rx": calibrated_rx()}
+    w = _run(validate(proposed_amplifier_document(1e3, 100e3, cccii=cccii)))
     assert 0.95 <= vpp(w, "out") <= 1.04
 
 
 def test_builder_document_round_trips():
-    spec = AmplifierSpec(2e3, 50e3, cccii={"level": 2.0, "rx": calibrated_rx()})
-    doc = proposed_amplifier_document(spec)
+    doc = proposed_amplifier_document(2e3, 50e3, cccii={"level": 2.0, "rx": calibrated_rx()})
     again = parse_netlist(serialize(doc))
     assert again == doc
     assert validate(again).node_index == validate(doc).node_index
@@ -64,10 +60,11 @@ def test_builder_document_round_trips():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        AmplifierSpec(-1.0, 1e3)
-    with pytest.raises(ValueError):
-        AmplifierSpec(1e3, 1e3, input=(0.0, 0.0, 1e3))
+    for builder in (proposed_amplifier_document, ferri_amplifier_document):
+        with pytest.raises(ValueError, match="r1 and r2 must be positive"):
+            builder(-1.0, 1e3)
+        with pytest.raises(ValueError, match="input amplitude must be positive"):
+            builder(1e3, 1e3, input=(0.0, 0.0, 1e3))
 
 
 @pytest.mark.parametrize("r1, r2", [(0.0, 1e3), (1e3, -1.0)])
@@ -79,7 +76,7 @@ def test_ferri_document_rejects_non_positive_resistors(r1, r2):
 
 def test_builders_check_the_conveyor_map():
     with pytest.raises(NetlistSyntaxError, match="RX must be non-negative"):
-        proposed_amplifier_document(AmplifierSpec(1e3, 1e3, cccii={"rx": -1.0}))
+        proposed_amplifier_document(1e3, 1e3, cccii={"rx": -1.0})
     with pytest.raises(NetlistSyntaxError, match="bad conveyor parameter 'rx_ohms'"):
         ferri_amplifier_document(1e3, 1e3, cccii={"rx_ohms": 1.0})
 
@@ -88,17 +85,17 @@ def test_builders_check_the_conveyor_map():
 
 
 def test_ferri_amplifier_gain():
-    w = _run(build_ferri_amplifier(1e3, 10e3))
+    w = _run(validate(ferri_amplifier_document(1e3, 10e3)))
     assert gain_pp(w, "in", "out") == pytest.approx(10.0, rel=1e-9)
 
 
 def test_ferri_unity_gain():
-    w = _run(build_ferri_amplifier(3.3e3, 3.3e3))
+    w = _run(validate(ferri_amplifier_document(3.3e3, 3.3e3)))
     assert gain_pp(w, "in", "out") == pytest.approx(1.0, rel=1e-9)
 
 
 def test_ferri_floating_z_is_solvable():
-    circuit = build_ferri_amplifier(1e3, 10e3)
+    circuit = validate(ferri_amplifier_document(1e3, 10e3))
     assert circuit.floating_nodes == frozenset({"zf"})
     w = _run(circuit)  # no SingularMatrixError
     # the buffer conveyor drives no load, so its X current is zero
@@ -132,8 +129,8 @@ def test_calibrate_rx_out_of_range(gain, r1, r2):
 def test_calibration_round_trip_through_simulation():
     r1, r2 = 8e3, 15e3
     for rho in np.geomspace(10.0, 100e3, 9):
-        spec = AmplifierSpec(r1, r2, cccii={"level": 2.0, "rx": float(rho)})
-        w = _run(build_proposed_amplifier(spec))
+        cccii = {"level": 2.0, "rx": float(rho)}
+        w = _run(validate(proposed_amplifier_document(r1, r2, cccii=cccii)))
         measured = gain_pp(w, "in", "out")
         assert calibrate_rx(measured, r1, r2) == pytest.approx(rho, rel=1e-6)
 
@@ -141,7 +138,7 @@ def test_calibration_round_trip_through_simulation():
 def test_bias_derived_rx_matches_closed_form_gain():
     for ib in (20e-6, 50e-6, 200e-6):
         cccii = {"level": 2.0, "ib": ib, "beta": 1e-3}
-        w = _run(build_proposed_amplifier(AmplifierSpec(8e3, 15e3, cccii=cccii)))
+        w = _run(validate(proposed_amplifier_document(8e3, 15e3, cccii=cccii)))
         expected = 15e3 / (8e3 + conveyor_rx(cccii))
         assert gain_pp(w, "in", "out") == pytest.approx(expected, rel=1e-6)
 
@@ -150,11 +147,10 @@ def test_clamped_output_bounded_by_rail_span():
     # holds while the clamp current stays resistive-small; at the default
     # rails the span-plus-band bound covers drives up to several volts
     for amplitude in (0.1, 0.5, 5.0):
-        spec = AmplifierSpec(
-            1e3, 100e3, input=(0.0, amplitude, 1e3),
-            cccii={"level": 2.0},
+        doc = proposed_amplifier_document(
+            1e3, 100e3, input=(0.0, amplitude, 1e3), cccii={"level": 2.0}
         )
-        w = _run(build_proposed_amplifier(spec))
+        w = _run(validate(doc))
         assert vpp(w, "out") <= 1.0 + 2 * 10e-3
 
 
@@ -206,8 +202,8 @@ def test_report_tuning_rows(report):
 
 def test_report_measured_values_come_from_runs(report):
     # re-run one configuration independently and compare
-    spec = AmplifierSpec(8e3, 15e3, cccii={"level": 2.0, "rx": calibrated_rx()})
-    w = _run(build_proposed_amplifier(spec))
+    cccii = {"level": 2.0, "rx": calibrated_rx()}
+    w = _run(validate(proposed_amplifier_document(8e3, 15e3, cccii=cccii)))
     assert report.row("fig8").measured_vpp == pytest.approx(vpp(w, "out"), rel=1e-12)
 
 

@@ -10,11 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ccsim import solver
 from ccsim.devices import CLAMP_BAND, CLAMP_RSAT
 from ccsim.errors import NoConvergenceError, SingularMatrixError
 from ccsim.netlist import parse_netlist, validate
 from ccsim.solver import (
-    NewtonOptions,
     _Assembly,
     lu_solve,
     newton_solve,
@@ -207,9 +207,10 @@ def test_ladder_network_against_reduction_oracle():
         assert sol.voltages[f"n{i+1}"] == pytest.approx(expected, rel=1e-9)
 
 
-def test_linear_circuit_converges_in_one_iteration():
+def test_linear_circuit_converges_in_one_iteration(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     ckt = _circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k")
-    sol = newton_solve(ckt, opts=NewtonOptions(max_iter=1))
+    sol = newton_solve(ckt)
     assert sol.voltages["2"] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -238,21 +239,24 @@ def test_op_matches_transient_at_time_zero(level):
     assert (abs(op[ckt.dense_index("out")]) < 0.51) == (level == 2)
 
 
-def test_active_clamp_needs_more_than_one_iteration():
+def test_active_clamp_needs_more_than_one_iteration(monkeypatch):
     # single clamps start at their exact root; ports coupled by feedback iterate
     ckt = _circuit(FEEDBACK_PAIR)
-    with pytest.raises(NoConvergenceError) as exc:
-        newton_solve(ckt, 2.5e-4, opts=NewtonOptions(max_iter=2))
+    with monkeypatch.context() as m, pytest.raises(NoConvergenceError) as exc:
+        m.setattr(solver, "MAX_ITER", 2)
+        newton_solve(ckt, 2.5e-4)
     assert exc.value.residual > 0
     sol = newton_solve(ckt, 2.5e-4)
     assert np.abs(residual(ckt, 2.5e-4, sol.vector)).max() <= 1e-9
 
 
-def test_feedback_pair_converges_in_eight_iterations():
+def test_feedback_pair_converges_in_eight_iterations(monkeypatch):
     ckt = _circuit(FEEDBACK_PAIR)
+    monkeypatch.setattr(solver, "MAX_ITER", 7)
     with pytest.raises(NoConvergenceError):
-        transient(ckt, 2e-5, 1e-3, opts=NewtonOptions(max_iter=7))
-    transient(ckt, 2e-5, 1e-3, opts=NewtonOptions(max_iter=8))
+        transient(ckt, 2e-5, 1e-3)
+    monkeypatch.setattr(solver, "MAX_ITER", 8)
+    transient(ckt, 2e-5, 1e-3)
 
 
 def test_positive_feedback_latch_converges_everywhere():
@@ -509,9 +513,10 @@ def _random_drive(rng, r2, rail):
     return band_end * rng.uniform(1.5, 20.0)
 
 
-def test_random_clamped_amplifiers_need_no_newton_step():
+def test_random_clamped_amplifiers_need_no_newton_step(monkeypatch):
     # single conveyors and two-stage cascades in declaration order start at
     # their exact port roots, so one allowed Newton iteration is never used
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     rng = np.random.default_rng(2024)
     for case in range(40):
         lines, gain, r2, rail = _random_stage(rng, "X1", "in", "x1", "out1")
@@ -522,21 +527,21 @@ def test_random_clamped_amplifiers_need_no_newton_step():
             peak = min(peak, _random_drive(rng, r2b, rail2) / abs(gain2))
         amplitude = float(peak / abs(gain))
         ckt = _circuit(f"V1 in 0 SIN(0 {amplitude!r} 1k)\n" + "\n".join(lines))
-        w = transient(ckt, 2e-5, 1e-3, opts=NewtonOptions(max_iter=1))
+        w = transient(ckt, 2e-5, 1e-3)
         for j, t in enumerate(w.times):
             x = w.solution_at(j).vector
             assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
-def test_transient_failure_reports_timepoint():
+def test_transient_failure_reports_timepoint(monkeypatch):
     ckt = _circuit(FEEDBACK_PAIR)
-    opts = NewtonOptions(max_iter=2)
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     with pytest.raises(NoConvergenceError) as exc:
-        transient(ckt, 2e-5, 1e-3, opts=opts)
+        transient(ckt, 2e-5, 1e-3)
     first_failing = None
     for t in np.arange(51) * 2e-5:
         try:
-            newton_solve(ckt, float(t), opts=opts)
+            newton_solve(ckt, float(t))
         except NoConvergenceError as pointwise:
             first_failing = pointwise
             break
