@@ -146,7 +146,17 @@ def clamp_port_root(u: np.ndarray, s: float, vdd: float, vss: float) -> np.ndarr
     sg = s / CLAMP_RSAT
     up, down = np.maximum(u - hi, 0.0), np.maximum(lo - u, 0.0)  # at most one > 0
     depth = up + down
-    v = np.clip(u, lo, hi) + 2.0 * (up - down) / (1.0 + np.sqrt(1.0 + 2.0 * sg * depth / delta))
-    # beyond the band's outer edge, u - hi = delta * (1 + s*g/2), the ramp is linear
     rail = np.where(up > 0.0, vdd - delta / 2.0, vss + delta / 2.0)
-    return np.where(depth > delta * (1.0 + sg / 2.0), (u + sg * rail) / (1.0 + sg), v)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed lanes are redone
+        w = 2.0 * sg * depth / delta
+        v = np.clip(u, lo, hi) + 2.0 * (up - down) / (1.0 + np.sqrt(1.0 + w))
+        # beyond the band's outer edge, u - hi = delta * (1 + s*g/2), the ramp is linear
+        ramp = (u + sg * rail) / (1.0 + sg)
+        # Near the float limit: where w overflows, 1 + sqrt(1 + w) is sqrt(w)
+        # to the last bit; where the ramp overflows, it is taken about its rail.
+        if not np.isfinite(w).all():
+            offset = np.copysign(np.sqrt(2.0 * delta * (depth / sg)), up - down)
+            v = np.where(np.isfinite(w), v, np.clip(u, lo, hi) + offset)
+        if not np.isfinite(ramp).all():
+            ramp = np.where(np.isfinite(ramp), ramp, rail + (u - rail) / (1.0 + sg))
+    return np.where(depth > delta * (1.0 + sg / 2.0), ramp, v)

@@ -30,7 +30,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,10 +48,10 @@ from .errors import (
 GROUND = "0"
 
 # Most timepoints a .tran grid may have; the paper's runs use 251. Each point
-# holds a full state vector, 8 bytes per unknown, so a linear run peaks at
-# about one (points, unknowns) array: 97.7 MiB traced for a 252-unknown
-# ladder at 50 001 points (1.02x the array), and a clamped run at about two
-# (52.4 MiB, 2.1x, for a 65-unknown clamped ladder at 50 001 points).
+# holds a full state vector, 8 bytes per unknown, so a run peaks at about one
+# (points, unknowns) array: 97.7 MiB traced for a 252-unknown ladder at
+# 50 001 points (1.02x the array), and 30.7 MiB (1.24x) for a 65-unknown
+# clamped ladder, whose port correction works over row blocks.
 MAX_TRAN_POINTS = 100_000
 
 SUFFIXES = {
@@ -87,7 +87,18 @@ _KIND_BY_LETTER = {
 
 def parse_value(text: str, line: int | None = None) -> float:
     """Expand an engineering-suffixed literal to its SI float value."""
-    m = _VALUE_RE.match(text.strip())
+    stripped = text.strip()
+    # A finite, ASCII, underscore-free literal that float() reads is one that
+    # _VALUE_RE accepts without a suffix, and the regex path reads it the same.
+    if stripped.isascii() and "_" not in stripped:
+        try:
+            value = float(stripped)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    m = _VALUE_RE.match(stripped)
     if not m:
         raise NetlistSyntaxError(f"bad numeric value {text!r}", line)
     mantissa, suffix = m.groups()
@@ -99,9 +110,13 @@ def parse_value(text: str, line: int | None = None) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementDecl:
-    """One parsed element: kind, name, ordered node labels, numeric params."""
+    """One parsed element: kind, name, ordered node labels, numeric params.
+
+    Not frozen, so building one costs plain attribute stores; nothing in
+    ccsim mutates a declaration after it is built (``dataclasses.replace``
+    makes a new one)."""
 
     kind: str
     name: str
@@ -171,29 +186,21 @@ class Circuit:
         return tuple(nodes) + tuple(branches)
 
 
-def _parse_nodes(tokens: list[str], line: int) -> tuple[str, ...]:
+def _parse_nodes(tokens: Sequence[str], line: int, checked: set[str]) -> tuple[str, ...]:
+    """``tokens`` as node labels; a label not yet in ``checked`` must match
+    ``_NODE_RE`` and is then added, so each distinct label is matched once."""
     for t in tokens:
-        if not _NODE_RE.match(t):
-            raise NetlistSyntaxError(f"bad node label {t!r}", line)
+        if t not in checked:
+            if not _NODE_RE.match(t):
+                raise NetlistSyntaxError(f"bad node label {t!r}", line)
+            checked.add(t)
     return tuple(tokens)
 
 
-def _parse_resistor(name, tokens, line) -> ElementDecl:
-    if len(tokens) != 3:
-        raise NetlistSyntaxError("resistor takes: R<name> n+ n- <value>", line)
-    nodes = _parse_nodes(tokens[:2], line)
-    value = parse_value(tokens[2], line)
-    if not value > 0:
-        raise NetlistSyntaxError(f"resistance must be positive, got {tokens[2]!r}", line)
-    if not math.isfinite(1.0 / value):
-        raise NetlistSyntaxError(f"resistance {tokens[2]!r} has no finite conductance", line)
-    return ElementDecl(KIND_RESISTOR, name, nodes, {"value": value})
-
-
-def _parse_vsource(name, tokens, line) -> ElementDecl:
+def _parse_vsource(name, tokens, line, checked) -> ElementDecl:
     if len(tokens) < 3:
         raise NetlistSyntaxError("source takes: V<name> n+ n- DC <v> | SIN(...)", line)
-    nodes = _parse_nodes(tokens[:2], line)
+    nodes = _parse_nodes(tokens[:2], line, checked)
     spec = " ".join(tokens[2:])
     if tokens[2].upper() == "DC" and len(tokens) == 4:
         return ElementDecl(KIND_VSOURCE, name, nodes, {"dc": parse_value(tokens[3], line)})
@@ -209,22 +216,22 @@ def _parse_vsource(name, tokens, line) -> ElementDecl:
     raise NetlistSyntaxError(f"bad source specification {spec!r}", line)
 
 
-def _parse_isource(name, tokens, line) -> ElementDecl:
+def _parse_isource(name, tokens, line, checked) -> ElementDecl:
     if len(tokens) != 4 or tokens[2].upper() != "DC":
         raise NetlistSyntaxError("current source takes: I<name> n+ n- DC <a>", line)
-    nodes = _parse_nodes(tokens[:2], line)
+    nodes = _parse_nodes(tokens[:2], line, checked)
     return ElementDecl(KIND_ISOURCE, name, nodes, {"dc": parse_value(tokens[3], line)})
 
 
 _CCCII_KEYS = {"rx", "ib", "beta", "level", "vdd", "vss"}
 
 
-def _parse_cccii(name, tokens, line) -> ElementDecl:
+def _parse_cccii(name, tokens, line, checked) -> ElementDecl:
     if len(tokens) < 4:
         raise NetlistSyntaxError(
             "conveyor takes: X<name> <y> <x> <z> CCCII+|CCCII- [key=value ...]", line
         )
-    nodes = _parse_nodes(tokens[:3], line)
+    nodes = _parse_nodes(tokens[:3], line, checked)
     model = tokens[3].upper()
     if model not in ("CCCII+", "CCCII-"):
         raise UnknownElementKindError(f"unknown conveyor model {tokens[3]!r}", line)
@@ -270,8 +277,8 @@ def conveyor_params(values: Mapping[str, float], line: int | None = None) -> dic
     return params
 
 
+# Resistor lines, almost all of a real netlist, are parsed in parse_netlist.
 _ELEMENT_PARSERS = {
-    KIND_RESISTOR: _parse_resistor,
     KIND_VSOURCE: _parse_vsource,
     KIND_ISOURCE: _parse_isource,
     KIND_CCCII: _parse_cccii,
@@ -292,8 +299,7 @@ def tran_step_count(tstep: float, tstop: float) -> int:
     return int(steps)
 
 
-def _parse_directive(line_text: str, line: int, have_tran: bool) -> Directive | None:
-    tokens = line_text.split()
+def _parse_directive(tokens: list[str], line: int, have_tran: bool) -> Directive | None:
     word = tokens[0].lower()
     if word == ".end":
         return None
@@ -338,38 +344,52 @@ def parse_netlist(text: str) -> NetlistDocument:
     elements: list[ElementDecl] = []
     directives: list[Directive] = []
     seen_names: dict[str, int] = {}
+    checked: set[str] = set()  # node labels already matched against _NODE_RE
     title: str | None = None
     saw_content = False
     ended = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, 1):
-        stripped = raw.strip()
-        if not stripped:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if stripped.startswith("*"):
+        name = tokens[0]
+        lead = name[0]
+        if lead == "*":
             if not saw_content and title is None:
-                title = stripped[1:].strip() or None
+                title = raw.strip()[1:].strip() or None
             continue
         saw_content = True
-        if stripped.startswith("."):
-            d = _parse_directive(stripped, lineno, any(x.kind == "tran" for x in directives))
+        if lead == ".":
+            d = _parse_directive(tokens, lineno, any(x.kind == "tran" for x in directives))
             if d is None:
                 ended = True
                 break
             directives.append(d)
             continue
-        tokens = stripped.split()
-        name = tokens[0]
-        kind = _KIND_BY_LETTER.get(name[0].upper())
+        kind = _KIND_BY_LETTER.get(lead.upper())
         if kind is None:
             raise UnknownElementKindError(f"unknown element kind {name!r}", lineno)
-        if name.lower() in seen_names:
+        key = name.lower()
+        if key in seen_names:
             raise DuplicateNameError(
-                f"element name {name!r} already used on line {seen_names[name.lower()]}",
-                lineno,
+                f"element name {name!r} already used on line {seen_names[key]}", lineno
             )
-        seen_names[name.lower()] = lineno
-        elements.append(_ELEMENT_PARSERS[kind](name, tokens[1:], lineno))
+        seen_names[key] = lineno
+        if kind != KIND_RESISTOR:
+            elements.append(_ELEMENT_PARSERS[kind](name, tokens[1:], lineno, checked))
+            continue
+        if len(tokens) != 4:
+            raise NetlistSyntaxError("resistor takes: R<name> n+ n- <value>", lineno)
+        _, p, m, literal = tokens
+        if p not in checked or m not in checked:
+            _parse_nodes((p, m), lineno, checked)
+        value = parse_value(literal, lineno)
+        if not value > 0:
+            raise NetlistSyntaxError(f"resistance must be positive, got {literal!r}", lineno)
+        if not math.isfinite(1.0 / value):
+            raise NetlistSyntaxError(f"resistance {literal!r} has no finite conductance", lineno)
+        elements.append(ElementDecl(KIND_RESISTOR, name, (p, m), {"value": value}))
     if not ended:
         raise MissingEndError("document does not end with .end", len(lines) + 1)
     return NetlistDocument(tuple(elements), tuple(directives), title)
@@ -391,10 +411,14 @@ def validate(doc: NetlistDocument) -> Circuit:
     (the mirrored current has no path, so the port is left unstamped); that
     is the conventional "floating Z" idiom for unused conveyor outputs.
     """
-    touches: dict[str, list[tuple[ElementDecl, int]]] = {}
+    touches: dict[str, list[ElementDecl]] = {}  # label -> elements, in first-touch order
     for elem in doc.elements:
-        for term, label in enumerate(elem.nodes):
-            touches.setdefault(label, []).append((elem, term))
+        for label in elem.nodes:
+            touched_by = touches.get(label)
+            if touched_by is None:
+                touches[label] = [elem]
+            else:
+                touched_by.append(elem)
     if GROUND not in touches:
         raise NoGroundReferenceError("no element touches ground node \"0\"")
 
@@ -402,7 +426,8 @@ def validate(doc: NetlistDocument) -> Circuit:
     for label, touched_by in touches.items():
         if label == GROUND or len(touched_by) != 1:
             continue
-        elem, term = touched_by[0]
+        elem = touched_by[0]
+        term = elem.nodes.index(label)  # the one terminal on this label
         if (elem.kind, term) in _UNSOLVABLE_SINGLE:
             raise DanglingNodeError(
                 f"node {label!r} is only touched by {elem.name} and has no solvable path"
@@ -410,17 +435,17 @@ def validate(doc: NetlistDocument) -> Circuit:
         if elem.kind == KIND_CCCII and term == _CCCII_Z_TERMINAL:
             floating.add(label)
 
+    # dense indices in order of first appearance, which is the order of touches
     node_index: dict[str, int] = {}
-    for elem in doc.elements:
-        for label in elem.nodes:
-            if label != GROUND and label not in floating and label not in node_index:
-                node_index[label] = len(node_index)
+    for label in touches:
+        if label != GROUND and label not in floating:
+            node_index[label] = len(node_index)
 
     # Every indexed node must reach ground through element co-incidence.
     reachable = {GROUND}
     queue = deque([GROUND])
     while queue:
-        for elem, _ in touches[queue.popleft()]:
+        for elem in touches[queue.popleft()]:
             for nbr in elem.nodes:
                 if nbr not in reachable:
                     reachable.add(nbr)

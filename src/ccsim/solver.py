@@ -35,6 +35,7 @@ from .netlist import (
 PIVOT_RTOL = 1e-13  # reciprocal of the largest accepted 1-norm condition number
 ABS_TOL = 1e-9  # largest clamp-current misfit (A) of a converged point
 MAX_ITER = 50  # Newton steps before a point counts as unconverged
+_MIX_BLOCK = 1 << 14  # floats in each temporary of the clamp-port correction
 
 
 @dataclass(eq=False, frozen=True)
@@ -340,7 +341,12 @@ def _solve_points(asm: _Assembly, times: np.ndarray) -> np.ndarray:
             residual=float(r[first]),
             time=float(times[first]),
         )
-    x -= _mix(i, m)
+    # x -= i @ m.T over row blocks: _mix is row-local, so the bits are those
+    # of one call, and its temporaries stay block-sized beside the (T, n) x
+    rows = max(1, _MIX_BLOCK // size)
+    for start in range(0, len(x), rows):
+        block = x[start:start + rows]  # a view: the subtraction writes into x
+        block -= _mix(i[start:start + rows], m)
     return x
 
 

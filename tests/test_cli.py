@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -453,6 +454,23 @@ def test_overflowing_condition_estimate_prints_one_error_line(case, tmp_path):
     assert "nan" not in proc.stderr
 
 
+@pytest.mark.parametrize("start, stop", [("4e307", "5e307"), ("1e300", "1e301")])
+def test_overflowing_clamp_port_prints_one_error_line(start, stop):
+    # the clamped Z node sees a port resistance near the float limit: the
+    # port root stays finite and Newton's refusal is one line without a NaN
+    argv = ["sweep", "fig8", "--param", "R2", "--from", start, "--to", stop, "--points", "3"]
+    env = dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccsim", *argv],
+        capture_output=True, env=env, cwd=PKG_ROOT, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: solver: no convergence after ")
+    assert proc.stderr.count("\n") == 1
+    assert "nan" not in proc.stderr
+
+
 def test_sweep_rejects_unknown_base(capsys):
     assert main([
         "sweep", "table2", "--param", "R2",
@@ -462,8 +480,8 @@ def test_sweep_rejects_unknown_base(capsys):
 
 # ── recorded output ─────────────────────────────────────────────────
 
-# Each file under fixtures/recorded is the stdout of its command as first
-# recorded; every one of them exits 0 with nothing on stderr.
+# Each .csv file under fixtures/recorded is the stdout of its command as
+# first recorded; every one of them exits 0 with nothing on stderr.
 RECORDED_COMMANDS = {
     **{f"run_{p.stem}.csv": ["run", str(p)] for p in sorted((FIXTURES / "good").glob("*.cir"))},
     "sweep_fig8_r2_log.csv": [
@@ -495,6 +513,18 @@ def test_output_matches_recording(recording, capsys):
             assert (row[col] == "") == (ref[col] == "")
             if ref[col]:
                 assert float(row[col]) == pytest.approx(float(ref[col]), rel=1e-9, abs=0.0)
+
+
+# fixtures/recorded/run_bad.json holds the exit status and stderr of `ccsim
+# run` on each bad fixture as first recorded: one located error line.
+RECORDED_BAD_RUNS = json.loads((FIXTURES / "recorded" / "run_bad.json").read_text())
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in (FIXTURES / "bad").glob("*.cir")))
+def test_bad_fixture_error_matches_recording(fixture, capsys):
+    recorded = RECORDED_BAD_RUNS[fixture]
+    assert main(["run", str(FIXTURES / "bad" / fixture)]) == recorded["exit"]
+    assert capsys.readouterr() == ("", recorded["stderr"])
 
 
 # ── input and output errors ─────────────────────────────────────────

@@ -6,6 +6,7 @@ kept independent of the closed-form conductance it verifies.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,26 @@ def test_clamp_port_root_solves_port_equation(s, rails):
     v = clamp_port_root(u, s, vdd, vss)
     gap = v + s * eval_clamp(v, vdd, vss)[0] - u
     assert np.all(np.abs(gap) <= 1e-12 * np.abs(u))
+
+
+@pytest.mark.parametrize("s", [1e300, 4e307, 1.7e308])
+def test_clamp_port_root_stays_finite_near_the_float_limit(s):
+    # s * depth overflows in the band's closed form, and u + s * rail in the
+    # ramp's; the roots are hi + sqrt(2 * delta * depth / s) in the band and
+    # rail + (u - rail) / (1 + s) on the ramp, and no numpy warning escapes
+    vdd, vss = L2
+    hi, rail = vdd - CLAMP_BAND, vdd - CLAMP_BAND / 2.0
+    depth = np.geomspace(1e-3, CLAMP_BAND * s / 4.0, 13)  # all inside the band
+    u = np.concatenate([hi + depth, -hi - depth, [0.0, 1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = clamp_port_root(u, s, vdd, vss)
+    assert np.all(np.isfinite(v)) and v[26] == 0.0
+    assert np.all(np.diff(v[:13]) >= 0) and np.array_equal(v[13:26], -v[:13])
+    band = np.sqrt(2.0 * CLAMP_BAND * (depth / (s / CLAMP_RSAT)))
+    assert v[:13] - hi == pytest.approx(band, rel=1e-6, abs=1e-15)
+    g = s / CLAMP_RSAT
+    assert v[27:] == pytest.approx([rail + (1.7e308 - rail) / (1 + g), -v[27]], rel=1e-12)
 
 
 def test_clamp_port_root_passes_through_without_port_resistance():

@@ -4,8 +4,11 @@ Round-trip contract: parse(serialize(doc)) == doc for every valid document,
 and the parser never escapes with anything but a located NetlistError.
 """
 
+import gc
 import random
 import string
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -235,6 +238,97 @@ def test_malformed_elements(line):
         parse_netlist(line + "\n.end")
 
 
+# Resistor lines as the parser reads them today: the exact value, or the
+# exact error class, message and line. The resistor sits on line 2.
+_R_LINE = "V1 a 0 DC 1\nR1 {} 1k\n.end"
+_R_VALUE = "V1 a 0 DC 1\nR1 a 0 {}\n.end"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_R_VALUE.format("1_0"), (NetlistSyntaxError, "bad numeric value '1_0'", 2)),
+        (_R_VALUE.format("nan"), (NetlistSyntaxError, "bad numeric value 'nan'", 2)),
+        (_R_VALUE.format("inf"), (NetlistSyntaxError, "bad numeric value 'inf'", 2)),
+        (_R_VALUE.format("infinity"), (NetlistSyntaxError, "bad numeric value 'infinity'", 2)),
+        (_R_VALUE.format("1e999"), (NetlistSyntaxError, "non-finite value '1e999'", 2)),
+        (_R_VALUE.format("0"), (NetlistSyntaxError, "resistance must be positive, got '0'", 2)),
+        (_R_VALUE.format("-1"), (NetlistSyntaxError, "resistance must be positive, got '-1'", 2)),
+        (_R_VALUE.format("+.5k"), 500.0),
+        (_R_VALUE.format("1.e+03"), 1000.0),
+        (_R_VALUE.format("\u0661\u0662"), 12.0),  # Arabic-Indic digits, as \d reads them
+        (
+            _R_VALUE.format("1e-309"),
+            (NetlistSyntaxError, "resistance '1e-309' has no finite conductance", 2),
+        ),
+        (_R_LINE.format("a-b 0"), (NetlistSyntaxError, "bad node label 'a-b'", 2)),
+        (_R_LINE.format("a b.c"), (NetlistSyntaxError, "bad node label 'b.c'", 2)),
+        (
+            "V1 a 0 DC 1\nR1 a 0 1k\nr1 a 0 2k\n.end",
+            (DuplicateNameError, "element name 'r1' already used on line 2", 3),
+        ),
+        (
+            "V1 a 0 DC 1\nR1 a 0\n.end",
+            (NetlistSyntaxError, "resistor takes: R<name> n+ n- <value>", 2),
+        ),
+        (
+            "V1 a 0 DC 1\nR1 a 0 1k 2k\n.end",
+            (NetlistSyntaxError, "resistor takes: R<name> n+ n- <value>", 2),
+        ),
+        (
+            "V1 a\nR1 a 0 1k\n.end",
+            (NetlistSyntaxError, "source takes: V<name> n+ n- DC <v> | SIN(...)", 1),
+        ),
+        (
+            "V1 a 0 DC 1\nR1 a 0 1k\nI1 a 0 DC\n.end",
+            (NetlistSyntaxError, "current source takes: I<name> n+ n- DC <a>", 3),
+        ),
+        (
+            "V1 a 0 DC 1\nX1 a b CCCII+\n.end",
+            (
+                NetlistSyntaxError,
+                "conveyor takes: X<name> <y> <x> <z> CCCII+|CCCII- [key=value ...]",
+                2,
+            ),
+        ),
+    ],
+)
+def test_parse_edge_cases_are_pinned(text, expected):
+    if isinstance(expected, float):
+        resistor = parse_netlist(text).elements[1]
+        assert resistor.params == {"value": expected}
+        return
+    cls, message, line = expected
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(text)
+    assert type(exc.value) is cls
+    assert (exc.value.reason, exc.value.line) == (message, line)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_resistor_lines_share_node_labels_with_other_elements():
+    # a label first checked on a resistor line is the same node elsewhere,
+    # and a bad label is refused wherever it first appears
+    doc = parse_netlist("R1 a 0 1k\nV1 a 0 DC 1\nX1 a x z CCCII+\nR2 x 0 1k\nR3 z 0 1k\n.end")
+    assert [e.nodes for e in doc.elements] == [
+        ("a", "0"), ("a", "0"), ("a", "x", "z"), ("x", "0"), ("z", "0"),
+    ]
+    with pytest.raises(NetlistSyntaxError, match="bad node label 'a!'") as exc:
+        parse_netlist("R1 a 0 1k\nV1 a! 0 DC 1\n.end")
+    assert exc.value.line == 2
+
+
+def test_element_records_compare_and_replace():
+    # plain (not frozen) records: equality and dataclasses.replace still hold
+    elem = ElementDecl("resistor", "R1", ("a", "0"), {"value": 1.0})
+    assert elem == ElementDecl("resistor", "R1", ("a", "0"), {"value": 1.0})
+    assert replace(elem, params={"value": 2.0}).params == {"value": 2.0}
+    assert elem.params == {"value": 1.0}
+    assert repr(elem) == (
+        "ElementDecl(kind='resistor', name='R1', nodes=('a', '0'), params={'value': 1.0})"
+    )
+
+
 # ── validation ──────────────────────────────────────────────────────
 
 
@@ -395,3 +489,43 @@ def test_parser_is_total_on_fuzzed_input():
         except CcsimError:
             continue
         assert isinstance(doc, NetlistDocument)
+
+
+# ── front-end footprint ─────────────────────────────────────────────
+
+
+def _ladder_text(sections: int) -> str:
+    lines, prev = ["* ladder", "VIN in 0 SIN(0.5 50m 1k)"], "in"
+    for k in range(1, sections + 1):
+        lines += [f"RS{k} {prev} n{k} {20.0 + k * 0.25!r}", f"RP{k} n{k} 0 {1e5 + k * 997.0!r}"]
+        prev = f"n{k}"
+    lines += [".op", ".tran 2e-05 0.005", f".measure gain(in,{prev})", ".measure power", ".end"]
+    return "\n".join(lines) + "\n"
+
+
+# tracemalloc readings per element on the 250-section ladder below (501
+# elements): the front end's peak, and what validate holds above the document
+# it is given. An (element, terminal) tuple per terminal in validate reads 210.
+FRONT_END_BYTES = 670
+VALIDATE_BYTES = 115
+
+
+def test_front_end_footprint_per_element():
+    # each bound is its reading plus 25 %
+    text = _ladder_text(250)
+    validate(parse_netlist(text))  # first-call set-up is not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = parse_netlist(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        circuit = validate(doc)
+        validate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elements = len(circuit.elements)
+    assert elements == 501
+    assert max(parse_peak, validate_peak) / elements <= 1.25 * FRONT_END_BYTES
+    assert (validate_peak - held) / elements <= 1.25 * VALIDATE_BYTES

@@ -382,25 +382,44 @@ def test_superposition_sums_sources_in_declaration_order(dc_at):
     assert np.array_equal(np.concatenate([w.voltages, w.currents], axis=1), expected)
 
 
-def _ladder(sections: int, conveyor: bool):
+def _ladder(sections: int, conveyors: int):
     lines, prev = ["VIN in 0 SIN(0 1 1k)"], "in"
     for k in range(1, sections + 1):
         lines += [f"RS{k} {prev} n{k} 50", f"RP{k} n{k} 0 200k"]
         prev = f"n{k}"
-    if conveyor:  # gain 50 on a ~1 V input: clipped at the 0.5 V rails
-        lines += [f"X1 {prev} x out CCCII+ RX=1k LEVEL=2", "R1 x 0 1k", "R2 out 0 100k"]
+    # gain 50 on a ~1 V input: clipped at the 0.5 V rails; each further
+    # conveyor, driven by the last one's output, has gain 100
+    for j in range(1, conveyors + 1):
+        x, out = ("x", "out") if j == 1 else (f"x{j}", f"out{j}")
+        lines += [
+            f"X{j} {prev} {x} {out} CCCII+ RX=1k LEVEL=2",
+            f"R{2 * j - 1} {x} 0 1k",
+            f"R{2 * j} {out} 0 100k",
+        ]
+        prev = out
     return _circuit("\n".join(lines))
 
 
 @pytest.mark.parametrize("conveyor, bound", [(False, 1.5), (True, 2.6)])
 def test_transient_holds_one_state_array(conveyor, bound):
     # a linear solve holds one (T, n) state beside arrays of n or T floats;
-    # the clamp-port correction of a clamped one holds a second
+    # test_clamp_port_correction_holds_one_state_array bounds clamped ones
     ckt = _ladder(100, conveyor)
     points = 2001
     assert _peak_bytes(transient, ckt, 1e-6, 2e-3) <= bound * 8 * points * ckt.size
     if conveyor:
         assert np.abs(transient(ckt, 1e-4, 2e-3).voltage("out")).max() > 0.45
+
+
+@pytest.mark.parametrize("conveyors", [1, 2])
+def test_clamp_port_correction_holds_one_state_array(conveyors):
+    # x -= c(v) M^T runs over row blocks, so a clamped solve holds one (T, n)
+    # state whatever the number of clamped ports
+    ckt = _ladder(100, conveyors)
+    points = 2001
+    assert _peak_bytes(transient, ckt, 1e-6, 2e-3) <= 1.6 * 8 * points * ckt.size
+    last = "out" if conveyors == 1 else f"out{conveyors}"
+    assert np.abs(transient(ckt, 1e-4, 2e-3).voltage(last)).max() > 0.45
 
 
 def _power_balance_gap(ckt, w) -> float:
