@@ -10,7 +10,6 @@ peak-to-peak levels, gain, and source power.
 from .devices import conveyor_rx, eval_clamp
 from .errors import CcsimError
 from .experiments import (
-    ReproductionReport,
     ReproductionRow,
     calibrate_rx,
     calibrated_rx,
@@ -36,14 +35,7 @@ from .netlist import (
     serialize,
     validate,
 )
-from .solver import (
-    Solution,
-    Waveform,
-    lu_solve,
-    newton_solve,
-    residual,
-    transient,
-)
+from .solver import Waveform, lu_solve, residual, solve, transient
 
 __version__ = "0.1.0"
 
@@ -53,9 +45,7 @@ __all__ = [
     "Directive",
     "ElementDecl",
     "NetlistDocument",
-    "ReproductionReport",
     "ReproductionRow",
-    "Solution",
     "TuningCase",
     "Waveform",
     "calibrate_rx",
@@ -67,13 +57,13 @@ __all__ = [
     "ferri_amplifier_document",
     "gain_pp",
     "lu_solve",
-    "newton_solve",
     "parse_netlist",
     "parse_value",
     "proposed_amplifier_document",
     "residual",
     "run_reproduction",
     "serialize",
+    "solve",
     "source_power",
     "transient",
     "validate",

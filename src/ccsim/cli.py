@@ -49,7 +49,7 @@ from .netlist import (
     parse_value,
     validate,
 )
-from .solver import newton_solve, transient
+from .solver import solve, transient
 
 Row = tuple[str, str, str, str, str, str]
 _HEADER: Row = ("name", "param", "value", "metric", "result", "unit")
@@ -141,13 +141,14 @@ def _run_file(args, stream) -> int:
         _dump_waveform(waveform, args.dump_waveform, stream)
         return 0
     rows: list[Row] = []
-    for directive in doc.directives:
-        if directive.kind == "op":
-            sol = waveform.solution_at(0) if waveform is not None else newton_solve(circuit)
-            for node, v in sol.voltages.items():
-                rows.append((name, "", "", f"v({node})", _fmt(v), "V"))
-            for elem, i in sol.currents.items():
-                rows.append((name, "", "", f"i({elem})", _fmt(i), "A"))
+    ops = sum(d.kind == "op" for d in doc.directives)
+    if ops:  # every .op line prints the same point, solved once
+        x = (waveform if waveform is not None else solve(circuit, [0.0])).states[0]
+        for node, k in circuit.node_index.items():
+            rows.append((name, "", "", f"v({node})", _fmt(x[k]), "V"))
+        for elem, b in circuit.branch_index.items():
+            rows.append((name, "", "", f"i({elem})", _fmt(x[circuit.n_nodes + b]), "A"))
+        rows *= ops
     if waveform is not None:
         rows.extend(_measure_rows(name, doc, waveform))
     _write_rows(rows, args.format, stream)

@@ -162,38 +162,6 @@ class ReproductionRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
-    rows: tuple[ReproductionRow, ...]
-
-    def row(self, name: str) -> ReproductionRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def as_table(self) -> str:
-        header = ("name", "r1", "r2", "level", "measured", "predicted", "reference", "dev", "note")
-        cells = [header]
-        for r in self.rows:
-            cells.append(
-                (
-                    r.name,
-                    f"{r.r1:g}",
-                    f"{r.r2:g}",
-                    str(r.level),
-                    f"{r.measured_vpp:.6g}",
-                    f"{r.predicted_vpp:.6g}",
-                    "-" if r.reference_vpp is None else f"{r.reference_vpp:g}",
-                    "-" if r.deviation is None else f"{r.deviation:+.1%}",
-                    r.note,
-                )
-            )
-        widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
-        return "\n".join(lines) + "\n"
-
-
 def experiment_document(name: str) -> NetlistDocument:
     """Netlist of the one circuit behind a single-run experiment: the level-2
     figure amplifier with calibrated R_X, or the two-conveyor comparison."""
@@ -306,7 +274,8 @@ def experiment_rows(name: str) -> tuple[ReproductionRow, ...]:
     return tuple(_ROW_BUILDERS[row](row) for row in EXPERIMENT_ROWS[name])
 
 
-def run_reproduction() -> ReproductionReport:
-    """Re-simulate every published operating point; every measured value
-    comes from a transient run executed here."""
-    return ReproductionReport(experiment_rows("all"))
+def run_reproduction() -> dict[str, ReproductionRow]:
+    """Re-simulate every published operating point, as rows by name in
+    report order; every measured value comes from a transient run executed
+    here."""
+    return {row.name: row for row in experiment_rows("all")}

@@ -20,6 +20,7 @@ from .errors import (
     NoSourcesError,
     ZeroInputError,
 )
+from .netlist import KIND_ISOURCE, KIND_VSOURCE
 from .solver import Waveform
 
 CASE_I = "CaseI"  # r1 > r2
@@ -43,8 +44,9 @@ def default_window(w: Waveform) -> tuple[float, float]:
     """Trailing half of the run, rounded down to whole source periods."""
     t0, t1 = float(w.times[0]), float(w.times[-1])
     half = (t1 - t0) / 2.0
-    if len(w.sin_freqs) == 1:
-        period = 1.0 / w.sin_freqs[0]
+    freqs = [e.params["freq"] for e in w.circuit.elements if "freq" in e.params]
+    if len(freqs) == 1:
+        period = 1.0 / freqs[0]
         periods = math.floor(half / period)
         if periods >= 1:
             return t1 - periods * period, t1
@@ -90,7 +92,7 @@ def source_power(
     Average is the trapezoidal mean over the window, exact for whole periods
     on a uniform grid; peak is max |p(t)|.
     """
-    if not w.source_names:
+    if not any(e.kind in (KIND_ISOURCE, KIND_VSOURCE) for e in w.circuit.elements):
         raise NoSourcesError("waveform has no source branches")
     p = w.total_source_power()[_window_mask(w, window)]
     if len(p) == 1:

@@ -77,11 +77,12 @@ KIND_VSOURCE = "vsource"
 KIND_ISOURCE = "isource"
 KIND_CCCII = "cccii"
 
+# ASCII letters only: "ı".upper() is "I", so no case mapping is applied
 _KIND_BY_LETTER = {
-    "R": KIND_RESISTOR,
-    "V": KIND_VSOURCE,
-    "I": KIND_ISOURCE,
-    "X": KIND_CCCII,
+    **dict.fromkeys("Rr", KIND_RESISTOR),
+    **dict.fromkeys("Vv", KIND_VSOURCE),
+    **dict.fromkeys("Ii", KIND_ISOURCE),
+    **dict.fromkeys("Xx", KIND_CCCII),
 }
 
 
@@ -178,12 +179,6 @@ class Circuit:
 
     def branch_dense_index(self, name: str) -> int:
         return self.n_nodes + self.branch_index[name]
-
-    def unknown_labels(self) -> tuple[str, ...]:
-        """Node labels then branch-owning element names, in dense order."""
-        nodes = sorted(self.node_index, key=self.node_index.get)
-        branches = sorted(self.branch_index, key=self.branch_index.get)
-        return tuple(nodes) + tuple(branches)
 
 
 def _parse_nodes(tokens: Sequence[str], line: int, checked: set[str]) -> tuple[str, ...]:
@@ -367,7 +362,7 @@ def parse_netlist(text: str) -> NetlistDocument:
                 break
             directives.append(d)
             continue
-        kind = _KIND_BY_LETTER.get(lead.upper())
+        kind = _KIND_BY_LETTER.get(lead)
         if kind is None:
             raise UnknownElementKindError(f"unknown element kind {name!r}", lineno)
         key = name.lower()

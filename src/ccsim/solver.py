@@ -16,12 +16,13 @@ other. ``.op`` is the case of one timepoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import devices
-from .errors import NoConvergenceError, SingularMatrixError, UnknownNodeError
+from .errors import NoConvergenceError, SingularMatrixError, UnknownNodeError, ValidationError
 from .netlist import (
     KIND_CCCII,
     KIND_ISOURCE,
@@ -54,40 +55,55 @@ class Solution:
 
 @dataclass(eq=False, frozen=True)
 class Waveform:
-    """Time-indexed solutions plus per-source delivered power."""
+    """A solved run: the circuit, its time grid, and the unknowns at every
+    time in dense order (node voltages, then branch currents)."""
 
+    circuit: Circuit
     times: np.ndarray  # (T,)
-    node_order: tuple[str, ...]
-    voltages: np.ndarray  # (T, n_nodes)
-    branch_order: tuple[str, ...]
-    currents: np.ndarray  # (T, n_branches)
-    source_names: tuple[str, ...]
-    source_power: np.ndarray  # (T, n_sources), delivery-positive
-    sin_freqs: tuple[float, ...] = ()
+    states: np.ndarray  # (T, size)
 
     def voltage(self, node: str) -> np.ndarray:
         if node == "0":
             return np.zeros_like(self.times)
         try:
-            return self.voltages[:, self.node_order.index(node)]
-        except ValueError:
+            return self.states[:, self.circuit.node_index[node]]
+        except KeyError:
             raise UnknownNodeError(f"no trace for node {node!r}") from None
 
     def current(self, name: str) -> np.ndarray:
         try:
-            return self.currents[:, self.branch_order.index(name)]
-        except ValueError:
+            return self.states[:, self.circuit.branch_dense_index(name)]
+        except KeyError:
             raise KeyError(f"no branch current for element {name!r}") from None
 
     def total_source_power(self) -> np.ndarray:
-        return self.source_power.sum(axis=1)
+        """Power delivered by the independent sources at each time: the
+        columns -v*i of each source, in declaration order, summed."""
+        c, states = self.circuit, self.states
+        sources = [e for e in c.elements if e.kind in (KIND_VSOURCE, KIND_ISOURCE)]
+        power = np.zeros((len(self.times), len(sources)))
+        for s, elem in enumerate(sources):
+            ip, im = (c.dense_index(lbl) for lbl in elem.nodes)
+            v_branch = (states[:, ip] if ip is not None else 0.0) - (
+                states[:, im] if im is not None else 0.0
+            )
+            if elem.kind == KIND_VSOURCE:
+                i_through = states[:, c.branch_dense_index(elem.name)]
+            else:
+                i_through = source_value(elem, self.times)
+            # current enters the + terminal, so delivered power is -v*i
+            power[:, s] = -v_branch * i_through
+        return power.sum(axis=1)
 
     def solution_at(self, index: int) -> Solution:
+        """The point at ``index`` keyed by label. Only the benchmark's
+        residual check reads it; ccsim itself reads ``states``."""
+        c, x = self.circuit, self.states[index]
         return Solution(
             time=float(self.times[index]),
-            voltages=dict(zip(self.node_order, self.voltages[index].tolist())),
-            currents=dict(zip(self.branch_order, self.currents[index].tolist())),
-            vector=np.concatenate([self.voltages[index], self.currents[index]]),
+            voltages=dict(zip(c.node_index, x[:c.n_nodes].tolist())),
+            currents=dict(zip(c.branch_index, x[c.n_nodes:].tolist())),
+            vector=x,
         )
 
 
@@ -350,15 +366,23 @@ def _solve_points(asm: _Assembly, times: np.ndarray) -> np.ndarray:
     return x
 
 
-def newton_solve(circuit: Circuit, t: float = 0.0) -> Solution:
-    """Solve the operating point at time ``t``: the one-point waveform.
+def solve(circuit: Circuit, times) -> Waveform:
+    """Solve the operating point at each time in ``times``; ``.op`` is the
+    one point t = 0.
 
     Purely linear circuits take one LAPACK solve and no Newton step;
     level-2 conveyor clamps start at the exact root of their port equations
     and are iterated only where clamp ports are coupled both ways (see
-    ``_solve_points``).
+    ``_solve_points``). Raises ValidationError, before solving, for a SIN
+    source whose phase 2*pi*f*t is not finite on the grid.
     """
-    return _waveform(circuit, np.array([float(t)])).solution_at(0)
+    times = np.asarray(times, dtype=float)
+    asm = _Assembly(circuit)
+    t_last = float(times[-1])  # largest phase; an infinite 2*pi*f gives NaN at t = 0
+    for elem, _ in asm.vsource_rows:
+        if not math.isfinite(2.0 * math.pi * elem.params.get("freq", 0.0) * t_last):
+            raise ValidationError(f"{elem.name}: SIN phase 2*pi*f*t is not finite at t = {t_last}")
+    return Waveform(circuit, times, _solve_points(asm, times))
 
 
 # ── transient sweep ─────────────────────────────────────────────────
@@ -371,44 +395,4 @@ def transient(circuit: Circuit, tstep: float, tstop: float) -> Waveform:
     then run Newton on the clamp ports of every point at once. Raises
     ValueError for a grid that ``.tran`` would reject (``tran_step_count``).
     """
-    times = np.arange(tran_step_count(tstep, tstop) + 1) * tstep
-    return _waveform(circuit, times)
-
-
-def _waveform(circuit: Circuit, times: np.ndarray) -> Waveform:
-    """Solutions and source power at each time in ``times``."""
-    states = _solve_points(_Assembly(circuit), times)
-
-    n = circuit.n_nodes
-    labels = circuit.unknown_labels()
-    node_order, branch_order = labels[:n], labels[n:]
-
-    sources = [e for e in circuit.elements if e.kind in (KIND_VSOURCE, KIND_ISOURCE)]
-    power = np.zeros((len(times), len(sources)))
-    for s, elem in enumerate(sources):
-        ip, im = (circuit.dense_index(lbl) for lbl in elem.nodes)
-        v_branch = (states[:, ip] if ip is not None else 0.0) - (
-            states[:, im] if im is not None else 0.0
-        )
-        if elem.kind == KIND_VSOURCE:
-            i_through = states[:, circuit.branch_dense_index(elem.name)]
-        else:
-            i_through = source_value(elem, times)
-        # current enters the + terminal, so delivered power is -v*i
-        power[:, s] = -v_branch * i_through
-
-    sin_freqs = tuple(
-        e.params["freq"]
-        for e in circuit.elements
-        if e.kind == KIND_VSOURCE and "freq" in e.params
-    )
-    return Waveform(
-        times=times,
-        node_order=node_order,
-        voltages=states[:, :n],
-        branch_order=branch_order,
-        currents=states[:, n:],
-        source_names=tuple(e.name for e in sources),
-        source_power=power,
-        sin_freqs=sin_freqs,
-    )
+    return solve(circuit, np.arange(tran_step_count(tstep, tstop) + 1) * tstep)

@@ -16,7 +16,7 @@ from ccsim.errors import NetlistError
 from ccsim.experiments import calibrate_rx, proposed_amplifier_document
 from ccsim.measure import classify_tuning, gain_pp, source_power, vpp
 from ccsim.netlist import conveyor_params, parse_netlist, serialize, validate
-from ccsim.solver import newton_solve, residual, transient
+from ccsim.solver import residual, solve, transient
 
 CLAMP_BAND = 10e-3
 
@@ -139,16 +139,16 @@ def test_criterion_7_solver_oracle_suite():
     with _criterion(7, "solver oracles: ladders, KCL, power, linearity"):
         # analytic divider and ladder
         divider = validate(parse_netlist("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k\n.end"))
-        assert newton_solve(divider).voltages["2"] == pytest.approx(0.5, abs=1e-9)
+        assert solve(divider, [0.0]).voltage("2")[0] == pytest.approx(0.5, abs=1e-9)
         series, shunts = [220.0, 4.7e3, 910.0], [1.5e3, 680.0, 3.3e3]
         lines = ["V1 n0 0 DC 2.5"]
         for i, (s, p) in enumerate(zip(series, shunts)):
             lines.append(f"RS{i} n{i} n{i+1} {s}")
             lines.append(f"RP{i} n{i+1} 0 {p}")
         ladder = validate(parse_netlist("\n".join(lines) + "\n.end"))
-        sol = newton_solve(ladder)
+        w = solve(ladder, [0.0])
         for i, expected in enumerate(_ladder_oracle(2.5, series, shunts)):
-            assert sol.voltages[f"n{i+1}"] == pytest.approx(expected, rel=1e-9)
+            assert w.voltage(f"n{i+1}")[0] == pytest.approx(expected, rel=1e-9)
 
         # KCL residual on every accepted solve, including a clamped one
         amp = validate(parse_netlist(
@@ -157,8 +157,7 @@ def test_criterion_7_solver_oracle_suite():
         ))
         w = transient(amp, 5e-5, 2e-3)
         for j, t in enumerate(w.times):
-            x = np.concatenate([w.voltages[j], w.currents[j]])
-            assert np.abs(residual(amp, float(t), x)).max() <= 1e-9
+            assert np.abs(residual(amp, float(t), w.states[j])).max() <= 1e-9
 
         # power balance with the conveyor treated as a source-side term
         lin = validate(parse_netlist(
@@ -174,12 +173,12 @@ def test_criterion_7_solver_oracle_suite():
 
         # superposition and source scaling on a level-1 circuit
         text = "V1 1 0 DC {v}\nI1 0 2 DC {i}\nR1 1 2 1k\nR2 2 0 2k\n.end"
-        xb = newton_solve(validate(parse_netlist(text.format(v=2, i=1e-3)))).vector
-        xv = newton_solve(validate(parse_netlist(text.format(v=2, i=0)))).vector
-        xi = newton_solve(validate(parse_netlist(text.format(v=0, i=1e-3)))).vector
+        xb = solve(validate(parse_netlist(text.format(v=2, i=1e-3))), [0.0]).states[0]
+        xv = solve(validate(parse_netlist(text.format(v=2, i=0))), [0.0]).states[0]
+        xi = solve(validate(parse_netlist(text.format(v=0, i=1e-3))), [0.0]).states[0]
         assert np.abs(xb - (xv + xi)).max() <= 1e-9 * max(1.0, np.abs(xb).max())
         k = 2.5
-        xk = newton_solve(validate(parse_netlist(text.format(v=2 * k, i=1e-3 * k)))).vector
+        xk = solve(validate(parse_netlist(text.format(v=2 * k, i=1e-3 * k))), [0.0]).states[0]
         assert np.abs(xk - k * xb).max() <= 1e-9 * np.abs(xk).max()
 
 

@@ -14,7 +14,7 @@ import pytest
 from ccsim import cli, experiments
 from ccsim.cli import _csv_line, main
 from ccsim.netlist import MAX_TRAN_POINTS
-from ccsim.solver import transient
+from ccsim.solver import solve, transient
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PKG_ROOT = Path(__file__).parent.parent
@@ -73,7 +73,7 @@ def test_op_rows_do_not_depend_on_tran(fixture, edit, tmp_path, capsys, monkeypa
     expected = _op_lines(capsys.readouterr().out)
     assert expected
     # with a .tran, the .op rows come from its t = 0 point, not a second solve
-    monkeypatch.setattr(cli, "newton_solve", None)
+    monkeypatch.setattr(cli, "solve", None)
     assert main(["run", str(with_tran)]) == 0
     out = capsys.readouterr().out
     assert _op_lines(out) == expected
@@ -469,6 +469,30 @@ def test_overflowing_clamp_port_prints_one_error_line(start, stop):
     assert proc.stderr.startswith("error: solver: no convergence after ")
     assert proc.stderr.count("\n") == 1
     assert "nan" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "analysis, t", [(".tran 1u 1m\n.measure vpp(in)", "0.001"), (".op", "0.0")]
+)
+def test_sin_phase_overflow_prints_one_error_line(analysis, t, tmp_path, capsys):
+    # 2*pi*f is inf at f = 1e308, and inf * 0 is NaN at t = 0
+    path = tmp_path / "fast.cir"
+    path.write_text(f"V1 in 0 SIN(0 0.5 1e308)\nR1 in 0 10meg\n{analysis}\n.end\n")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: V1: SIN phase 2*pi*f*t is not finite at t = {t}\n"
+    )
+
+
+def test_op_lines_share_one_solve(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ops.cir"
+    path.write_text("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k\n.op\n.op\n.op\n.end\n")
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args: calls.append(args) or solve(*args))
+    assert main(["run", str(path)]) == 0
+    assert len(calls) == 1
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == lines[:3] * 3
 
 
 def test_sweep_rejects_unknown_base(capsys):

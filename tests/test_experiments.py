@@ -163,7 +163,7 @@ def report():
 
 
 def test_report_row_catalog(report):
-    names = [r.name for r in report.rows]
+    names = list(report)
     assert names == [
         "fig6_ideal", "fig6", "fig7_ideal", "fig7", "fig8_ideal", "fig8",
         "table2_case1", "table2_case2", "table2_case3", "ferri",
@@ -171,52 +171,46 @@ def test_report_row_catalog(report):
 
 
 def test_report_fig8_self_consistency(report):
-    row = report.row("fig8")
+    row = report["fig8"]
     assert row.reference_vpp == 0.13
     assert abs(row.deviation) <= 0.01
 
 
 def test_report_fig7_cross_prediction(report):
-    row = report.row("fig7")
+    row = report["fig7"]
     assert row.predicted_vpp == pytest.approx(0.902777, rel=1e-4)
     # reference lies within 20 percent of the model's prediction
     assert abs(row.reference_vpp - row.measured_vpp) / row.measured_vpp <= 0.20
 
 
 def test_report_fig6_clipping(report):
-    row = report.row("fig6")
+    row = report["fig6"]
     assert 0.95 <= row.measured_vpp <= 1.04
 
 
 def test_report_ideal_rows_follow_gain_law(report):
     for name, (r1, r2, _) in FIGURE_CONFIGS.items():
-        row = report.row(f"{name}_ideal")
+        row = report[f"{name}_ideal"]
         assert row.measured_vpp == pytest.approx(INPUT_VPP * r2 / r1, rel=5e-3)
 
 
 def test_report_tuning_rows(report):
-    assert "CaseI attenuates" in report.row("table2_case1").note
-    assert "CaseII amplifies" in report.row("table2_case2").note
-    assert "CaseIII attenuates" in report.row("table2_case3").note
+    assert "CaseI attenuates" in report["table2_case1"].note
+    assert "CaseII amplifies" in report["table2_case2"].note
+    assert "CaseIII attenuates" in report["table2_case3"].note
 
 
 def test_report_measured_values_come_from_runs(report):
     # re-run one configuration independently and compare
     cccii = {"level": 2.0, "rx": calibrated_rx()}
     w = _run(validate(proposed_amplifier_document(8e3, 15e3, cccii=cccii)))
-    assert report.row("fig8").measured_vpp == pytest.approx(vpp(w, "out"), rel=1e-12)
-
-
-def test_report_table_rendering(report):
-    table = report.as_table()
-    assert table.splitlines()[0].startswith("name")
-    assert "fig8" in table
+    assert report["fig8"].measured_vpp == pytest.approx(vpp(w, "out"), rel=1e-12)
 
 
 def test_experiment_row_selection(report):
     assert [r.name for r in experiment_rows("fig8")] == ["fig8"]
     assert len(experiment_rows("table2")) == 3
-    assert len(experiment_rows("all")) == len(report.rows)
+    assert len(experiment_rows("all")) == len(report)
     with pytest.raises(UnknownExperimentError):
         experiment_rows("fig9")
 

@@ -291,6 +291,10 @@ _R_VALUE = "V1 a 0 DC 1\nR1 a 0 {}\n.end"
                 2,
             ),
         ),
+        (  # the dotless i upper-cases to I; kinds are the ASCII letters
+            "V1 a 0 DC 1\n\u0131" "1 a 0 DC 1m\nR1 a 0 1k\n.end",
+            (UnknownElementKindError, "unknown element kind '\u0131" "1'", 2),
+        ),
     ],
 )
 def test_parse_edge_cases_are_pinned(text, expected):

@@ -17,8 +17,8 @@ from ccsim.netlist import parse_netlist, validate
 from ccsim.solver import (
     _Assembly,
     lu_solve,
-    newton_solve,
     residual,
+    solve,
     source_value,
     transient,
 )
@@ -190,8 +190,8 @@ def test_inactive_clamp_assembles_like_level_one():
 
 
 def test_voltage_divider_midpoint():
-    sol = newton_solve(_circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k"))
-    assert sol.voltages["2"] == pytest.approx(0.5, abs=1e-12)
+    w = solve(_circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k"), [0.0])
+    assert w.voltage("2")[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ladder_network_against_reduction_oracle():
@@ -202,16 +202,16 @@ def test_ladder_network_against_reduction_oracle():
     for i, (s, p) in enumerate(zip(series, shunts)):
         lines.append(f"RS{i} n{i} n{i+1} {s}")
         lines.append(f"RP{i} n{i+1} 0 {p}")
-    sol = newton_solve(_circuit("\n".join(lines)))
+    w = solve(_circuit("\n".join(lines)), [0.0])
     for i, expected in enumerate(_ladder_oracle(vin, series, shunts)):
-        assert sol.voltages[f"n{i+1}"] == pytest.approx(expected, rel=1e-9)
+        assert w.voltage(f"n{i+1}")[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_linear_circuit_converges_in_one_iteration(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITER", 1)
     ckt = _circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k")
-    sol = newton_solve(ckt)
-    assert sol.voltages["2"] == pytest.approx(0.5, abs=1e-12)
+    w = solve(ckt, [0.0])
+    assert w.voltage("2")[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -222,8 +222,8 @@ def test_linear_circuit_converges_in_one_iteration(monkeypatch):
     ],
 )
 def test_op_resolves_small_signals(text, expected):
-    sol = newton_solve(_circuit(text))
-    assert sol.voltages["n1"] == pytest.approx(expected, rel=1e-12)
+    w = solve(_circuit(text), [0.0])
+    assert w.voltage("n1")[0] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -233,8 +233,8 @@ def test_op_matches_transient_at_time_zero(level):
         f"V1 in 0 SIN(50m 10m 1k)\nX1 in x out CCCII+ RX=3538 LEVEL={level}\n"
         "R1 x 0 1k\nR2 out 0 100k"
     )
-    op = newton_solve(ckt).vector
-    tran = transient(ckt, 2e-5, 1e-3).solution_at(0).vector
+    op = solve(ckt, [0.0]).states[0]
+    tran = transient(ckt, 2e-5, 1e-3).states[0]
     assert np.abs(op - tran).max() <= 1e-12 * np.abs(op).max()
     assert (abs(op[ckt.dense_index("out")]) < 0.51) == (level == 2)
 
@@ -244,10 +244,10 @@ def test_active_clamp_needs_more_than_one_iteration(monkeypatch):
     ckt = _circuit(FEEDBACK_PAIR)
     with monkeypatch.context() as m, pytest.raises(NoConvergenceError) as exc:
         m.setattr(solver, "MAX_ITER", 2)
-        newton_solve(ckt, 2.5e-4)
+        solve(ckt, [2.5e-4])
     assert exc.value.residual > 0
-    sol = newton_solve(ckt, 2.5e-4)
-    assert np.abs(residual(ckt, 2.5e-4, sol.vector)).max() <= 1e-9
+    w = solve(ckt, [2.5e-4])
+    assert np.abs(residual(ckt, 2.5e-4, w.states[0])).max() <= 1e-9
 
 
 def test_feedback_pair_converges_in_eight_iterations(monkeypatch):
@@ -271,45 +271,45 @@ def test_positive_feedback_latch_converges_everywhere():
     )
     w = transient(ckt, 2e-5, 1e-3)
     for j, t in enumerate(w.times):
-        assert np.abs(residual(ckt, float(t), w.solution_at(j).vector)).max() <= 1e-9
+        assert np.abs(residual(ckt, float(t), w.states[j])).max() <= 1e-9
 
 
 def test_clamped_output_stays_near_rails():
-    sol = newton_solve(_circuit(LEVEL2_AMP))
-    assert -0.51 <= sol.voltages["out"] <= 0.51
-    # KCL residual of the accepted solve
     ckt = _circuit(LEVEL2_AMP)
-    assert np.abs(residual(ckt, 0.0, sol.vector)).max() <= 1e-9
+    w = solve(ckt, [0.0])
+    assert -0.51 <= w.voltage("out")[0] <= 0.51
+    # KCL residual of the accepted solve
+    assert np.abs(residual(ckt, 0.0, w.states[0])).max() <= 1e-9
 
 
 def test_parallel_vsources_are_singular():
     with pytest.raises(SingularMatrixError):
-        newton_solve(_circuit("V1 1 0 DC 1\nV2 1 0 DC 2\nR1 1 0 1k"))
+        solve(_circuit("V1 1 0 DC 1\nV2 1 0 DC 2\nR1 1 0 1k"), [0.0])
 
 
 def test_cccii_polarity_negates_output():
-    plus = newton_solve(
-        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=250\nR1 x 0 1k\nR2 out 0 5k")
+    plus = solve(
+        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=250\nR1 x 0 1k\nR2 out 0 5k"), [0.0]
     )
-    minus = newton_solve(
-        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII- RX=250\nR1 x 0 1k\nR2 out 0 5k")
+    minus = solve(
+        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII- RX=250\nR1 x 0 1k\nR2 out 0 5k"), [0.0]
     )
-    assert minus.voltages["out"] == pytest.approx(-plus.voltages["out"], rel=1e-12)
-    assert minus.voltages["x"] == pytest.approx(plus.voltages["x"], rel=1e-12)
+    assert minus.voltage("out")[0] == pytest.approx(-plus.voltage("out")[0], rel=1e-12)
+    assert minus.voltage("x")[0] == pytest.approx(plus.voltage("x")[0], rel=1e-12)
 
 
 def test_conveyor_dc_solution_matches_hand_solve():
     # ideal plus-type, R1=1k, R2=100k, 0.05 V at Y: i_x = -50 uA, V_Z = 5 V
-    sol = newton_solve(
-        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=0\nR1 x 0 1k\nR2 out 0 100k")
+    w = solve(
+        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=0\nR1 x 0 1k\nR2 out 0 100k"), [0.0]
     )
-    assert sol.currents["X1"] == pytest.approx(-50e-6, rel=1e-12)
-    assert sol.voltages["out"] == pytest.approx(5.0, rel=1e-12)
+    assert w.current("X1")[0] == pytest.approx(-50e-6, rel=1e-12)
+    assert w.voltage("out")[0] == pytest.approx(5.0, rel=1e-12)
     # with intrinsic resistance: V_Z = 0.05 * 15000 / (8000 + 3538)
-    sol = newton_solve(
-        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=3538\nR1 x 0 8k\nR2 out 0 15k")
+    w = solve(
+        _circuit("V1 in 0 DC 0.05\nX1 in x out CCCII+ RX=3538\nR1 x 0 8k\nR2 out 0 15k"), [0.0]
     )
-    assert sol.voltages["out"] == pytest.approx(0.06500260010400416, rel=1e-12)
+    assert w.voltage("out")[0] == pytest.approx(0.06500260010400416, rel=1e-12)
 
 
 # ── transient ───────────────────────────────────────────────────────
@@ -325,10 +325,9 @@ def test_sin_source_evaluation():
 def test_dc_transient_is_time_invariant():
     w = transient(_circuit("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k"), 1e-4, 1e-3)
     assert len(w.times) == 11
-    assert np.ptp(w.voltages, axis=0).max() == 0.0
-    snapshot = w.solution_at(5)
-    assert snapshot.time == pytest.approx(5e-4)
-    assert snapshot.voltages["2"] == pytest.approx(0.5, abs=1e-12)
+    assert np.ptp(w.states, axis=0).max() == 0.0
+    assert w.times[5] == pytest.approx(5e-4)
+    assert w.voltage("2")[5] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sin_transient_point_count_and_shape():
@@ -344,19 +343,19 @@ def test_source_scaling_linearity():
     k = 3.7
     w1 = transient(_circuit(base.format(a=0.05, i=1e-3)), 5e-5, 1e-3)
     wk = transient(_circuit(base.format(a=0.05 * k, i=1e-3 * k)), 5e-5, 1e-3)
-    scale = np.abs(wk.voltages - k * w1.voltages).max()
-    assert scale <= 1e-9 * np.abs(wk.voltages).max()
+    scale = np.abs(wk.states - k * w1.states).max()
+    assert scale <= 1e-9 * np.abs(wk.states).max()
 
 
 def test_superposition_of_independent_sources():
     both = _circuit("V1 1 0 DC 2\nI1 0 2 DC 1m\nR1 1 2 1k\nR2 2 0 2k")
     only_v = _circuit("V1 1 0 DC 2\nI1 0 2 DC 0\nR1 1 2 1k\nR2 2 0 2k")
     only_i = _circuit("V1 1 0 DC 0\nI1 0 2 DC 1m\nR1 1 2 1k\nR2 2 0 2k")
-    xb = newton_solve(both).vector
-    xv = newton_solve(only_v).vector
-    xi = newton_solve(only_i).vector
+    xb = solve(both, [0.0]).states[0]
+    xv = solve(only_v, [0.0]).states[0]
+    xi = solve(only_i, [0.0]).states[0]
     assert np.abs(xb - (xv + xi)).max() <= 1e-9 * max(1.0, np.abs(xb).max())
-    assert newton_solve(both).voltages["2"] == pytest.approx(2.0, rel=1e-12)
+    assert solve(both, [0.0]).voltage("2")[0] == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("dc_at", [0, 1, 2])
@@ -379,7 +378,7 @@ def test_superposition_sums_sources_in_declaration_order(dc_at):
     expected = np.tile(solved[:, 0], (len(w.times), 1))
     for j, (elem, _) in enumerate(asm.vsource_rows, start=1):
         expected += np.multiply.outer(source_value(elem, w.times), solved[:, j])
-    assert np.array_equal(np.concatenate([w.voltages, w.currents], axis=1), expected)
+    assert np.array_equal(w.states, expected)
 
 
 def _ladder(sections: int, conveyors: int):
@@ -461,7 +460,7 @@ def test_transient_kcl_residual_bound():
         ckt = _circuit(text)
         w = transient(ckt, 5e-5, 1e-3)
         for j, t in enumerate(w.times):
-            x = np.concatenate([w.voltages[j], w.currents[j]])
+            x = w.states[j]
             assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
@@ -473,8 +472,8 @@ def test_transient_matches_pointwise_op():
     w = transient(ckt, 2e-5, 2e-3)
     assert np.abs(w.voltage("out")).max() > 0.49  # clipping
     for j, t in enumerate(w.times):
-        batched = w.solution_at(j).vector
-        pointwise = newton_solve(ckt, float(t)).vector
+        batched = w.states[j]
+        pointwise = solve(ckt, [t]).states[0]
         assert np.abs(batched - pointwise).max() <= 1e-9
         assert np.abs(residual(ckt, float(t), batched)).max() <= 1e-9
 
@@ -490,7 +489,7 @@ def test_two_clipping_conveyors_converge_everywhere():
     for node in ("out1", "out2"):
         assert 0.49 < np.abs(w.voltage(node)).max() <= 0.51
     for j, t in enumerate(w.times):
-        x = w.solution_at(j).vector
+        x = w.states[j]
         assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
@@ -548,7 +547,7 @@ def test_random_clamped_amplifiers_need_no_newton_step(monkeypatch):
         ckt = _circuit(f"V1 in 0 SIN(0 {amplitude!r} 1k)\n" + "\n".join(lines))
         w = transient(ckt, 2e-5, 1e-3)
         for j, t in enumerate(w.times):
-            x = w.solution_at(j).vector
+            x = w.states[j]
             assert np.abs(residual(ckt, float(t), x)).max() <= 1e-9
 
 
@@ -560,7 +559,7 @@ def test_transient_failure_reports_timepoint(monkeypatch):
     first_failing = None
     for t in np.arange(51) * 2e-5:
         try:
-            newton_solve(ckt, float(t))
+            solve(ckt, [t])
         except NoConvergenceError as pointwise:
             first_failing = pointwise
             break
