@@ -7,10 +7,12 @@ Subcommands:
     ccsim experiment <name>          fig6 | fig7 | fig8 | table2 | ferri | all
     ccsim sweep <file|name> --param K --from A --to B --points N [--log]
 
-Flags: --format csv|table, --out <path>, --dump-waveform <node>.
-Results are emitted as `name,param,value,metric,result,unit` rows; a waveform
-dump replaces them with `time,value` pairs. Exit status: 0 success, 1 input
-error, 2 solver failure.
+Flags: --format csv|table, --out <path>; run and experiment also take
+--dump-waveform <node>. Results are emitted as `name,param,value,metric,
+result,unit` rows; a waveform dump replaces them with `time,value` pairs.
+Exit status: 0 success, 1 input error (a bad argument or flag included),
+2 solver failure. Every refusal is a raised CcsimError that ``main`` prints
+as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import re
 import sys
 from dataclasses import replace
@@ -28,10 +31,13 @@ import numpy as np
 from .errors import (
     CcsimError,
     InputFileError,
+    MeasureError,
     SolverError,
     UnknownExperimentError,
     UnknownNodeError,
     UnknownParameterError,
+    UsageError,
+    ValidationError,
 )
 from .experiments import experiment_document, experiment_rows
 from .measure import default_window, gain_pp, source_power, vpp
@@ -42,7 +48,6 @@ from .netlist import (
     KIND_RESISTOR,
     KIND_VSOURCE,
     MAX_TRAN_POINTS,
-    Circuit,
     NetlistDocument,
     conveyor_params,
     parse_netlist,
@@ -85,35 +90,22 @@ def _write_rows(rows: list[Row], fmt: str, stream) -> None:
         stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _check_dump_node(circuit: Circuit, node: str) -> None:
-    """Reject a waveform-dump node that has no trace, before solving."""
-    if node != GROUND and node not in circuit.node_index:
-        raise UnknownNodeError(f"no trace for node {node!r}")
-
-
-def _dump_waveform(waveform, node: str, stream) -> None:
-    trace = waveform.voltage(node)
-    stream.write(_csv_line(("time", "value")))
-    for t, v in zip(waveform.times, trace):
-        stream.write(_csv_line((_fmt(t), _fmt(v))))
-
-
 def _measure_rows(name: str, doc: NetlistDocument, waveform) -> list[Row]:
     window = default_window(waveform)
-    rows: list[Row] = []
-    for directive in doc.measures():
-        metric, *nodes = directive.args
-        if metric == "vpp":
-            value = vpp(waveform, nodes[0], window)
-            rows.append((name, "", "", f"vpp({nodes[0]})", _fmt(value), "V"))
-        elif metric == "gain":
-            value = gain_pp(waveform, nodes[0], nodes[1], window)
-            rows.append((name, "", "", f"gain({nodes[0]},{nodes[1]})", _fmt(value), ""))
-        else:
-            avg, peak = source_power(waveform, window)
-            rows.append((name, "", "", "power_avg", _fmt(avg), "W"))
-            rows.append((name, "", "", "power_peak", _fmt(peak), "W"))
-    return rows
+    readings: list[tuple[str, float, str]] = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a reading that overflows is refused below
+        for metric, *nodes in (d.args for d in doc.measures()):
+            if metric == "vpp":
+                readings.append((f"vpp({nodes[0]})", vpp(waveform, nodes[0], window), "V"))
+            elif metric == "gain":
+                readings.append((f"gain({','.join(nodes)})", gain_pp(waveform, *nodes, window), ""))
+            else:
+                avg, peak = source_power(waveform, window)
+                readings += [("power_avg", avg, "W"), ("power_peak", peak, "W")]
+    for metric, value, _ in readings:
+        if not math.isfinite(value):
+            raise MeasureError(f"{metric} overflows the float range")
+    return [(name, "", "", metric, _fmt(value), unit) for metric, value, unit in readings]
 
 
 def _read_netlist(path: Path) -> NetlistDocument:
@@ -124,22 +116,26 @@ def _read_netlist(path: Path) -> NetlistDocument:
     return parse_netlist(text)
 
 
-def _run_file(args, stream) -> int:
+def _run_file(args, stream) -> None:
     path = Path(args.file)
     doc = _read_netlist(path)
+    _run_document(doc.title or path.stem, doc, args, stream)
+
+
+def _run_document(name: str, doc: NetlistDocument, args, stream) -> None:
     circuit = validate(doc)
-    name = doc.title or path.stem
-    tran = doc.tran()
-    if (args.dump_waveform or doc.measures()) and tran is None:
-        print("error: .measure and --dump-waveform need a .tran directive", file=sys.stderr)
-        return 1
-    if args.dump_waveform:
-        _check_dump_node(circuit, args.dump_waveform)
+    tran, node = doc.tran(), args.dump_waveform
+    if (node or doc.measures()) and tran is None:
+        raise ValidationError(".measure and --dump-waveform need a .tran directive")
+    if node and node != GROUND and node not in circuit.node_index:  # refused before solving
+        raise UnknownNodeError(f"no trace for node {node!r}")
     # .op is the t = 0 point, which is also the first .tran point
     waveform = transient(circuit, *tran.args) if tran is not None else None
-    if args.dump_waveform:
-        _dump_waveform(waveform, args.dump_waveform, stream)
-        return 0
+    if node:
+        stream.write(_csv_line(("time", "value")))
+        for t, v in zip(waveform.times, waveform.voltage(node)):
+            stream.write(_csv_line((_fmt(t), _fmt(v))))
+        return
     rows: list[Row] = []
     ops = sum(d.kind == "op" for d in doc.directives)
     if ops:  # every .op line prints the same point, solved once
@@ -152,17 +148,12 @@ def _run_file(args, stream) -> int:
     if waveform is not None:
         rows.extend(_measure_rows(name, doc, waveform))
     _write_rows(rows, args.format, stream)
-    return 0
 
 
-def _run_experiment(args, stream) -> int:
+def _run_experiment(args, stream) -> None:
     if args.dump_waveform:
-        doc = experiment_document(args.name)
-        circuit = validate(doc)
-        _check_dump_node(circuit, args.dump_waveform)
-        waveform = transient(circuit, *doc.tran().args)
-        _dump_waveform(waveform, args.dump_waveform, stream)
-        return 0
+        _run_document(args.name, experiment_document(args.name), args, stream)
+        return
     rows: list[Row] = []
     for r in experiment_rows(args.name):
         rows.append((r.name, "", "", "r1", _fmt(r.r1), "ohm"))
@@ -174,7 +165,6 @@ def _run_experiment(args, stream) -> int:
             rows.append((r.name, "", "", "vpp_reference", _fmt(r.reference_vpp), "V"))
             rows.append((r.name, "", "", "deviation", _fmt(r.deviation), ""))
     _write_rows(rows, args.format, stream)
-    return 0
 
 
 _SWEEPABLE_CCCII_KEYS = ("rx", "ib", "beta", "vdd", "vss")
@@ -233,66 +223,51 @@ def _sweep_base_document(base: str) -> tuple[str, NetlistDocument]:
         ) from None
 
 
-def _run_sweep(args, stream) -> int:
-    if args.dump_waveform:
-        print("error: --dump-waveform does not apply to sweeps", file=sys.stderr)
-        return 1
+def _run_sweep(args, stream) -> None:
     if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return 1
+        raise UsageError("--points must be at least 2")
     if args.points > MAX_TRAN_POINTS:
-        print(f"error: --points must be at most {MAX_TRAN_POINTS}", file=sys.stderr)
-        return 1
+        raise UsageError(f"--points must be at most {MAX_TRAN_POINTS}")
     name, doc = _sweep_base_document(args.base)
     if doc.tran() is None:
-        print("error: sweep base has no .tran directive", file=sys.stderr)
-        return 1
+        raise ValidationError("sweep base has no .tran directive")
     if not doc.measures():
-        print("error: sweep base has no .measure directives", file=sys.stderr)
-        return 1
+        raise ValidationError("sweep base has no .measure directives")
     start, stop = parse_value(args.start), parse_value(args.stop)
     if args.log:
         if start <= 0 or stop <= 0:
-            print("error: --log sweeps need positive endpoints", file=sys.stderr)
-            return 1
+            raise UsageError("--log sweeps need positive endpoints")
         points = np.geomspace(start, stop, args.points)
+    elif not math.isfinite(stop - start):
+        raise UsageError(f"sweep span from {args.start} to {args.stop} is not finite")
     else:
         points = np.linspace(start, stop, args.points)
-    points = np.sort(points)
     rows: list[Row] = []
-    for value in points:
+    for value in np.sort(points):
         varied = _with_param(doc, args.param, float(value))
-        circuit = validate(varied)
-        waveform = transient(circuit, *varied.tran().args)
+        waveform = transient(validate(varied), *varied.tran().args)
         for row in _measure_rows(name, varied, waveform):
             rows.append((row[0], args.param, _fmt(value), row[3], row[4], row[5]))
     _write_rows(rows, args.format, stream)
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for ``main`` to report, instead of printing it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and kept: each parser is a
     reference cycle that only the cyclic garbage collector frees."""
-    parser = argparse.ArgumentParser(
-        prog="ccsim",
-        description="Miniature conveyor-amplifier circuit simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("csv", "table"), default="csv")
-        p.add_argument("--out", metavar="PATH", help="write results here instead of stdout")
-        p.add_argument("--dump-waveform", metavar="NODE", help="emit time,value pairs for NODE")
-
+    parser = _Parser(prog="ccsim", description="Miniature conveyor-amplifier circuit simulator")
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     p_run = sub.add_parser("run", help="simulate a netlist file")
     p_run.add_argument("file")
-    common(p_run)
-
     p_exp = sub.add_parser("experiment", help="run a named reproduction experiment")
     p_exp.add_argument("name")
-    common(p_exp)
-
     p_sweep = sub.add_parser("sweep", help="sweep one element value")
     p_sweep.add_argument("base", help="netlist file or experiment name")
     p_sweep.add_argument("--param", required=True, help="element value to vary, e.g. R2 or X1.IB")
@@ -300,7 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", required=True, help="last sweep value")
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--log", action="store_true", help="logarithmic spacing")
-    common(p_sweep)
+    for p in (p_run, p_exp, p_sweep):
+        p.add_argument("--format", choices=("csv", "table"), default="csv")
+        p.add_argument("--out", metavar="PATH", help="write results here instead of stdout")
+    for p in (p_run, p_exp):  # a waveform is one run's
+        p.add_argument("--dump-waveform", metavar="NODE", help="emit time,value pairs for NODE")
     return parser
 
 
@@ -308,26 +287,26 @@ _HANDLERS = {"run": _run_file, "experiment": _run_experiment, "sweep": _run_swee
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command. The only place that reports an error: a CcsimError
+    becomes one ``error:`` line on stderr and exit 1, or 2 from the solver."""
     buffer = io.StringIO()
     try:
-        status = _HANDLERS[args.command](args, buffer)
+        args = _build_parser().parse_args(argv)
+        _HANDLERS[args.command](args, buffer)
+        if args.out:
+            try:
+                Path(args.out).write_text(buffer.getvalue())
+            except OSError as exc:
+                raise InputFileError(f"cannot write {args.out}: {exc}") from None
+        else:
+            sys.stdout.write(buffer.getvalue())
     except SolverError as exc:
         print(f"error: solver: {exc}", file=sys.stderr)
         return 2
     except CcsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if status == 0:
-        if args.out:
-            try:
-                Path(args.out).write_text(buffer.getvalue())
-            except OSError as exc:
-                print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-                return 1
-        else:
-            sys.stdout.write(buffer.getvalue())
-    return status
+    return 0
 
 
 def entry() -> None:

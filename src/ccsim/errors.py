@@ -133,4 +133,8 @@ class UnknownParameterError(CcsimError):
 
 
 class InputFileError(CcsimError):
-    """A netlist file that cannot be read or is not UTF-8 text."""
+    """A netlist that cannot be read as UTF-8 text, or an output not written."""
+
+
+class UsageError(CcsimError):
+    """A missing, unknown or malformed command-line argument or option value."""

@@ -65,12 +65,13 @@ SUFFIXES = {
     "g": 1e9,
 }
 
+# suffixes fold case in ASCII only: the Kelvin sign "\u212a" lower-cases to k
 _VALUE_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(meg|[fpnumkg])?$", re.IGNORECASE
+    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)((?a:meg|[fpnumkg]))?$", re.IGNORECASE
 )
 _NODE_RE = re.compile(r"^\w+$")
-_SIN_RE = re.compile(r"^SIN\s*\(\s*(\S+)\s+(\S+)\s+(\S+)\s*\)$", re.IGNORECASE)
-_MEASURE_RE = re.compile(r"^(vpp|gain|power)\s*(?:\(\s*([^)]*?)\s*\))?$", re.IGNORECASE)
+_SIN_RE = re.compile(r"^SIN\s*\(\s*(\S+)\s+(\S+)\s+(\S+)\s*\)$", re.I | re.A)  # ASCII case only
+_MEASURE_RE = re.compile(r"^(vpp|gain|power)\s*(?:\(\s*([^)]*?)\s*\))?$", re.I | re.A)
 
 KIND_RESISTOR = "resistor"
 KIND_VSOURCE = "vsource"
@@ -227,8 +228,8 @@ def _parse_cccii(name, tokens, line, checked) -> ElementDecl:
             "conveyor takes: X<name> <y> <x> <z> CCCII+|CCCII- [key=value ...]", line
         )
     nodes = _parse_nodes(tokens[:3], line, checked)
-    model = tokens[3].upper()
-    if model not in ("CCCII+", "CCCII-"):
+    model = tokens[3].upper()  # "\u0131".upper() is "I", so the token must be ASCII
+    if not tokens[3].isascii() or model not in ("CCCII+", "CCCII-"):
         raise UnknownElementKindError(f"unknown conveyor model {tokens[3]!r}", line)
     values = {"polarity": +1.0 if model.endswith("+") else -1.0}
     for tok in tokens[4:]:
@@ -265,6 +266,8 @@ def conveyor_params(values: Mapping[str, float], line: int | None = None) -> dic
             raise NetlistSyntaxError("R_X = 1/sqrt(8*BETA*IB) is not finite", line)
     elif params["rx"] < 0:
         raise NetlistSyntaxError("RX must be non-negative", line)
+    elif not math.isfinite(params["rx"]):
+        raise NetlistSyntaxError("RX must be finite", line)
     if params["level"] not in (1.0, 2.0):
         raise NetlistSyntaxError("LEVEL must be 1 or 2", line)
     if not params["vdd"] > params["vss"]:

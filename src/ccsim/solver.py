@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import devices
-from .errors import NoConvergenceError, SingularMatrixError, UnknownNodeError, ValidationError
+from .errors import (NoConvergenceError, SingularMatrixError, SolverError, UnknownNodeError,
+                     ValidationError)
 from .netlist import (
     KIND_CCCII,
     KIND_ISOURCE,
@@ -164,22 +165,17 @@ class _Assembly:
                   np.fromiter(rhs_vals, float, len(rhs_vals)))
         self.rhs_static = rhs[:n]
 
-    def rhs_at(self, t: float) -> np.ndarray:
-        b = self.rhs_static.copy()
-        for elem, row in self.vsource_rows:
-            b[row] += source_value(elem, t)
-        return b
-
-    def residual_vector(self, t: float, x: np.ndarray) -> np.ndarray:
-        f = self.a_static @ x - self.rhs_at(t)
-        for row, vdd, vss in self.clamps:
-            f[row] += devices.eval_clamp(x[row], vdd, vss)[0]
-        return f
-
 
 def residual(circuit: Circuit, t: float, x: np.ndarray) -> np.ndarray:
-    """Exact nonlinear KCL/branch residual at state ``x``."""
-    return _Assembly(circuit).residual_vector(t, x)
+    """Exact nonlinear KCL/branch residual at state ``x``. The source rows are
+    branch rows, where the static right-hand side is zero."""
+    asm = _Assembly(circuit)
+    f = asm.a_static @ x - asm.rhs_static
+    for elem, row in asm.vsource_rows:
+        f[row] -= source_value(elem, t)
+    for row, vdd, vss in asm.clamps:
+        f[row] += devices.eval_clamp(x[row], vdd, vss)[0]
+    return f
 
 
 # ── dense solve ─────────────────────────────────────────────────────
@@ -225,20 +221,21 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square and non-empty")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    a_norm = np.abs(a).sum(axis=0).max()
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            "singular matrix (floating node or unsolvable topology)"
-        ) from None
-    x = a_inv @ b
-    abs_inv = np.abs(a_inv, out=a_inv)  # the inverse is not needed past x
-    with np.errstate(over="ignore"):  # an estimate that overflows is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        a_norm = np.abs(a).sum(axis=0).max()
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(
+                "singular matrix (floating node or unsolvable topology)"
+            ) from None
+        x = a_inv @ b
+        abs_inv = np.abs(a_inv, out=a_inv)  # the inverse is not needed past x
         cond = a_norm * abs_inv.sum(axis=0).max()
         if not cond * PIVOT_RTOL < 1.0:
             cond = _equilibrated_condition(a, abs_inv)
     if not cond * PIVOT_RTOL < 1.0:
+        cond = np.nan_to_num(cond, nan=np.inf)  # NaN: the inverse itself overflowed
         raise SingularMatrixError(
             f"condition number {cond:.3e} too large (floating node or unsolvable topology)"
         )
@@ -304,7 +301,10 @@ def _solve_points(asm: _Assembly, times: np.ndarray) -> np.ndarray:
     columns = np.zeros((size, 1 + len(drives) + len(z)))
     columns[:, 0] = asm.rhs_static
     columns[drives + z, np.arange(1, columns.shape[1])] = 1.0
-    solved = lu_solve(asm.a_static, columns)
+    try:
+        solved = lu_solve(asm.a_static, columns)
+    except ValueError:  # the only one possible: a stamp sum that overflowed
+        raise SolverError("MNA matrix entries overflow the float range") from None
     # x_lin by superposition, summed in declaration order into one array: a
     # single row until the first time-varying term, which then holds the sum
     # (IEEE addition commutes, so term + x has the bits of x + term)
@@ -341,6 +341,8 @@ def _solve_points(asm: _Assembly, times: np.ndarray) -> np.ndarray:
     r = misfit(slice(None), i)
     # written ~(r <= tol) so that a NaN residual counts as unconverged
     active = np.flatnonzero(~(r <= ABS_TOL))
+    if active.size:  # a point whose linear part overflowed is left for solve to refuse
+        active = active[np.isfinite(v_lin[active]).all(axis=1)]
     for _ in range(MAX_ITER):
         if not active.size:
             break
@@ -374,15 +376,22 @@ def solve(circuit: Circuit, times) -> Waveform:
     level-2 conveyor clamps start at the exact root of their port equations
     and are iterated only where clamp ports are coupled both ways (see
     ``_solve_points``). Raises ValidationError, before solving, for a SIN
-    source whose phase 2*pi*f*t is not finite on the grid.
+    source whose phase 2*pi*f*t is not finite on the grid, and SolverError
+    for a solution that overflows the float range.
     """
     times = np.asarray(times, dtype=float)
-    asm = _Assembly(circuit)
     t_last = float(times[-1])  # largest phase; an infinite 2*pi*f gives NaN at t = 0
-    for elem, _ in asm.vsource_rows:
-        if not math.isfinite(2.0 * math.pi * elem.params.get("freq", 0.0) * t_last):
-            raise ValidationError(f"{elem.name}: SIN phase 2*pi*f*t is not finite at t = {t_last}")
-    return Waveform(circuit, times, _solve_points(asm, times))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        asm = _Assembly(circuit)
+        for elem, _ in asm.vsource_rows:
+            if not math.isfinite(2.0 * math.pi * elem.params.get("freq", 0.0) * t_last):
+                raise ValidationError(
+                    f"{elem.name}: SIN phase 2*pi*f*t is not finite at t = {t_last}")
+        states = _solve_points(asm, times)
+    if not np.isfinite(states).all():
+        t = float(times[~np.isfinite(states).all(axis=1)][0])
+        raise SolverError(f"solution overflows the float range at t = {t}")
+    return Waveform(circuit, times, states)
 
 
 # ── transient sweep ─────────────────────────────────────────────────

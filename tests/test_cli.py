@@ -271,11 +271,45 @@ def test_table_format_does_not_stick(capsys):
 def test_good_call_after_usage_error(capsys):
     assert main(["experiment", "fig8"]) == 0
     expected = capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        main(["experiment", "fig8", "--format", "xml"])
-    assert "invalid choice" in capsys.readouterr().err
+    assert main(["experiment", "fig8", "--format", "xml"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ccsim experiment: argument --format: invalid choice")
+    assert err.count("\n") == 1
     assert main(["experiment", "fig8"]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "ccsim: the following arguments are required: command"),
+        (["run"], "ccsim run: the following arguments are required: file"),
+        (
+            ["bogus"],
+            "ccsim: argument command: invalid choice: 'bogus' "
+            "(choose from 'run', 'experiment', 'sweep')",
+        ),
+        (
+            ["sweep", "fig8", "--param", "R2", "--from", "1", "--to", "2", "--points", "abc"],
+            "ccsim sweep: argument --points: invalid int value: 'abc'",
+        ),
+        (  # a waveform dump applies to one run, so sweeps have no such option
+            ["sweep", "fig8", "--param", "R2", "--from", "1", "--to", "2", "--points", "2",
+             "--dump-waveform", "out"],
+            "ccsim: unrecognized arguments: --dump-waveform out",
+        ),
+    ],
+)
+def test_usage_error_is_one_error_line(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--dump-waveform" not in capsys.readouterr().out
 
 
 # ── sweep ───────────────────────────────────────────────────────────
@@ -484,6 +518,50 @@ def test_sin_phase_overflow_prints_one_error_line(analysis, t, tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize(
+    "body, status, message",
+    [
+        (  # two conductances of 1e308 sum to inf in one matrix cell
+            "V1 1 0 DC 1\nR1 1 0 1e-308\nR2 1 0 1e-308\n.op",
+            2, "solver: MNA matrix entries overflow the float range",
+        ),
+        (  # the inverse holds 1e308 * 1e5: the estimate is inf, not NaN
+            "V1 in 0 SIN(0 50m 1k)\nX1 in x out CCCII+ RX=0\nR1 x 0 1e-308\nR2 out 0 100k\n.op",
+            2, "solver: condition number inf too large (floating node or unsolvable topology)",
+        ),
+        (
+            "V1 1 0 DC 2\nI1 0 2 DC -1e308\nR1 1 2 1k\nR2 2 0 2k\n.op",
+            2, "solver: solution overflows the float range at t = 0.0",
+        ),
+        (  # 1e308 * (1 + sin) passes the float limit once sin > 0.8, at 150 us
+            "V1 1 0 SIN(1e308 1e308 1k)\nR1 1 0 1\n.tran 50u 1m",
+            2, "solver: solution overflows the float range at t = 0.00015",
+        ),
+        (
+            "V1 in 0 SIN(0 1e308 1k)\nR1 in 0 1k\n.tran 20u 2m\n.measure vpp(in)",
+            1, "vpp(in) overflows the float range",
+        ),
+        (
+            "V1 in 0 DC 1e200\nR1 in 0 1e-100\n.tran 20u 2m\n.measure power",
+            1, "power_avg overflows the float range",
+        ),
+    ],
+)
+def test_overflow_is_one_error_line(body, status, message, tmp_path, capsys):
+    path = tmp_path / "huge.cir"
+    path.write_text(body + "\n.end\n")
+    assert main(["run", str(path)]) == status
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_norm_that_overflows_is_not_refused(tmp_path, capsys):
+    # |1e308| + |-1e308| overflows A's 1-norm; equilibration shows it well posed
+    path = tmp_path / "norm.cir"
+    path.write_text("V1 1 0 DC 1\nR1 1 2 1e-308\nR2 2 0 1k\n.op\n.end\n")
+    assert main(["run", str(path)]) == 0
+    assert _metric(_rows(capsys.readouterr().out), "v(2)") == pytest.approx(1.0)
+
+
 def test_op_lines_share_one_solve(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ops.cir"
     path.write_text("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k\n.op\n.op\n.op\n.end\n")
@@ -493,6 +571,19 @@ def test_op_lines_share_one_solve(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     lines = capsys.readouterr().out.splitlines()[1:]
     assert lines == lines[:3] * 3
+
+
+def test_sweep_rejects_span_that_overflows(tmp_path, capsys, monkeypatch):
+    # stop - start is inf, so linspace would drop -1e308 and sweep inf and nan
+    path = tmp_path / "div.cir"
+    path.write_text(
+        "V1 in 0 SIN(0 1 1k)\nR1 in out 1k\nR2 out 0 1k\n.tran 20u 5m\n.measure vpp(out)\n.end\n"
+    )
+    monkeypatch.setattr(cli, "transient", None)
+    assert main([
+        "sweep", str(path), "--param", "V1", "--from=-1e308", "--to=1e308", "--points", "3",
+    ]) == 1
+    assert capsys.readouterr() == ("", "error: sweep span from -1e308 to 1e308 is not finite\n")
 
 
 def test_sweep_rejects_unknown_base(capsys):

@@ -93,6 +93,8 @@ def test_cccii_params_validation():
         ({"ib": 0.0, "beta": 1e-3}, "IB must be positive"),
         ({"ib": 1e-200, "beta": 1e-200}, "R_X .* is not finite"),
         ({"rx": -5.0}, "RX must be non-negative"),
+        ({"rx": math.inf}, "RX must be finite"),
+        ({"rx": math.nan}, "RX must be finite"),
         ({"polarity": 0.0}, "polarity must be"),
         ({"polarity": 2.0}, "polarity must be"),
         ({"rx_ohms": 1.0}, "bad conveyor parameter 'rx_ohms'"),

@@ -295,6 +295,21 @@ _R_VALUE = "V1 a 0 DC 1\nR1 a 0 {}\n.end"
             "V1 a 0 DC 1\n\u0131" "1 a 0 DC 1m\nR1 a 0 1k\n.end",
             (UnknownElementKindError, "unknown element kind '\u0131" "1'", 2),
         ),
+        # keywords and suffixes fold case in ASCII only: the dotless i
+        # upper-cases to I, the long s to S and the Kelvin sign lower-cases to k
+        (_R_VALUE.format("1\u212a"), (NetlistSyntaxError, "bad numeric value '1\u212a'", 2)),
+        (
+            "V1 a 0 DC 1\nX1 a b c CCC\u0131I+\nR1 b 0 1k\n.end",
+            (UnknownElementKindError, "unknown conveyor model 'CCC\u0131I+'", 2),
+        ),
+        (
+            "V1 a 0 \u017fIN(0 1 1k)\nR1 a 0 1k\n.end",
+            (NetlistSyntaxError, "bad source specification '\u017fIN(0 1 1k)'", 1),
+        ),
+        (
+            "V1 a 0 DC 1\nR1 a 0 1k\n.tran 1u 10u\n.measure ga\u0131n(a,a)\n.end",
+            (NetlistSyntaxError, ".measure takes: vpp(<node>) | gain(<in>,<out>) | power", 4),
+        ),
     ],
 )
 def test_parse_edge_cases_are_pinned(text, expected):
